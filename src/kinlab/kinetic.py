@@ -29,7 +29,7 @@ import numpy as np
 from .combinatorics import cumulant_matrix, enumerate_dissections
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec
-from .operators import TRACER, one_slot_term, workspace_for
+from .operators import TRACER, LatestTimeMemo, one_slot_term, workspace_for
 from .sectors import (
     SectorFunction,
     SequenceState,
@@ -102,8 +102,9 @@ class DualityReport:
 class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
-    Time-dependent operators are memoized by t; the cache is read-mostly
-    and safe to share once warm.
+    Time-dependent operators are memoized for the latest |t| only, like the
+    model's semigroups.  Every operator needs correlation data up to its
+    sector, so the profile's n_max caps s + n (and s + K for functionals).
     """
 
     def __init__(self, model: ModelSpec, profile: CorrelationProfile):
@@ -112,10 +113,12 @@ class KineticEngine:
         self.model = model
         self.profile = profile
         self.ws = workspace_for(model)
-        self._scatter_cache: dict = {}
-        self._v_cache: dict = {}
-        self._series_cache: dict = {}
-        self._rhs_cache: dict = {}
+        self._memo = LatestTimeMemo()
+
+    def _check_cap(self, top: int, what: str) -> None:
+        if top > self.profile.n_max:
+            raise ValueError(f"cap exceeded: {what} needs correlation sectors up to {top}, "
+                             f"profile carries {self.profile.n_max}")
 
     # -- building blocks ---------------------------------------------------
 
@@ -146,18 +149,18 @@ class KineticEngine:
         """
         cluster = frozenset(cluster_slots)
         singles = tuple(sorted(single_slots))
-        key = (float(t), cluster, singles, sector)
-        cached = self._scatter_cache.get(key)
-        if cached is not None:
-            return cached
-        labels = [cluster] + [frozenset({j}) for j in singles]
-        op = cumulant_matrix(self.model, t, labels, sector, "dual")
-        gfac = self._g_embedded(cluster, singles, sector)
-        op = op @ np.diag(gfac.reshape(-1))
-        for slot in sorted(cluster | set(singles)):
-            op = op @ self._one_slot_inverse(sector, slot, t)
-        self._scatter_cache[key] = op
-        return op
+        self._check_cap(sector, "scattering cumulant")
+
+        def build():
+            labels = [cluster] + [frozenset({j}) for j in singles]
+            op = cumulant_matrix(self.model, t, labels, sector, "dual")
+            gfac = self._g_embedded(cluster, singles, sector)
+            op = op @ np.diag(gfac.reshape(-1))
+            for slot in sorted(cluster | set(singles)):
+                op = op @ self._one_slot_inverse(sector, slot, t)
+            return op
+
+        return self._memo.get(t, ("scattering", cluster, singles, sector), build)
 
     def _host_slots(self, upper: int, hosts: str):
         env = list(range(1, upper + 1))
@@ -176,41 +179,38 @@ class KineticEngine:
         lower scattering cumulants over dissections of the peeled slots,
         each block anchored at a distinct lower slot.
         """
-        key = (float(t), s, n, hosts)
-        cached = self._v_cache.get(key)
-        if cached is not None:
-            return cached
         sector = s + n
-        dim = self.model.n_states ** (sector + 1)
+        self._check_cap(sector, "generating operator")
         cluster = tuple(range(0, s + 1))
         if n == 0:
-            out = self.scattering_op(t, cluster, (), sector)
-            self._v_cache[key] = out
-            return out
-        total = np.zeros((dim, dim))
-        for k in range(0, n + 1):
-            for comps in _compositions_up_to(n, k):
-                peeled = sum(comps)
-                rem = n - peeled
-                lead = self.scattering_op(t, cluster, tuple(range(s + 1, s + rem + 1)), sector)
-                term = lead
-                prefix = 0
-                ok = True
-                for nj in comps:
-                    prefix += nj
-                    r_j = s + n - prefix
-                    z_j = list(range(r_j + 1, r_j + nj + 1))
-                    stage = self._stage_factor(t, z_j, r_j, sector, hosts)
-                    if stage is None:
-                        ok = False
-                        break
-                    term = term @ stage
-                if not ok:
-                    continue
-                total += ((-1.0) ** k / math.factorial(rem)) * term
-        out = math.factorial(n) * total
-        self._v_cache[key] = out
-        return out
+            return self.scattering_op(t, cluster, (), sector)
+
+        def build():
+            dim = self.model.n_states ** (sector + 1)
+            total = np.zeros((dim, dim))
+            for k in range(0, n + 1):
+                for comps in _compositions_up_to(n, k):
+                    peeled = sum(comps)
+                    rem = n - peeled
+                    lead = self.scattering_op(t, cluster, tuple(range(s + 1, s + rem + 1)), sector)
+                    term = lead
+                    prefix = 0
+                    ok = True
+                    for nj in comps:
+                        prefix += nj
+                        r_j = s + n - prefix
+                        z_j = list(range(r_j + 1, r_j + nj + 1))
+                        stage = self._stage_factor(t, z_j, r_j, sector, hosts)
+                        if stage is None:
+                            ok = False
+                            break
+                        term = term @ stage
+                    if not ok:
+                        continue
+                    total += ((-1.0) ** k / math.factorial(rem)) * term
+            return math.factorial(n) * total
+
+        return self._memo.get(t, ("generating", s, n, hosts), build)
 
     def _stage_factor(self, t: float, z_slots, r_j: int, sector: int, hosts: str):
         """Sum over dissections of the peeled slots, each block on its own host."""
@@ -235,29 +235,28 @@ class KineticEngine:
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
-        key = (float(t), n)
-        cached = self._series_cache.get(key)
-        if cached is not None:
-            return cached
-        model = self.model
-        n_states = model.n_states
-        labels = [frozenset({TRACER})] + [frozenset({j}) for j in range(1, n + 1)]
-        op = cumulant_matrix(model, t, labels, n, "dual")
-        g = self.profile.g[n]
-        env = self.profile.env_reduced[n]
-        dress = g.copy()
-        if n > 0:
-            dress = dress * env[np.newaxis, ...]
-        cols = []
-        for b in range(n_states):
-            basis = np.zeros(n_states)
-            basis[b] = 1.0
-            vec = dress * embed_with_slots(basis, n, ())
-            out = (op @ vec.reshape(-1)).reshape(vec.shape)
-            cols.append(integrate_env_slots(out, model.weights, 0))
-        mat = np.stack(cols, axis=1) / math.factorial(n)
-        self._series_cache[key] = mat
-        return mat
+        self._check_cap(n, "series term")
+
+        def build():
+            model = self.model
+            n_states = model.n_states
+            labels = [frozenset({TRACER})] + [frozenset({j}) for j in range(1, n + 1)]
+            op = cumulant_matrix(model, t, labels, n, "dual")
+            g = self.profile.g[n]
+            env = self.profile.env_reduced[n]
+            dress = g.copy()
+            if n > 0:
+                dress = dress * env[np.newaxis, ...]
+            cols = []
+            for b in range(n_states):
+                basis = np.zeros(n_states)
+                basis[b] = 1.0
+                vec = dress * embed_with_slots(basis, n, ())
+                out = (op @ vec.reshape(-1)).reshape(vec.shape)
+                cols.append(integrate_env_slots(out, model.weights, 0))
+            return np.stack(cols, axis=1) / math.factorial(n)
+
+        return self._memo.get(t, ("series", n), build)
 
     def series_matrix(self, t: float, order: int) -> np.ndarray:
         """F0 -> F_(1+0)(t) at the given truncation order."""
@@ -295,14 +294,10 @@ class KineticEngine:
                          variant: str = DEFAULT_VARIANT, hosts: str = DEFAULT_HOSTS,
                          route: str = "scattering", recon_order: int | None = None) -> SectorFunction:
         """Correlated (1+s)-sector functional of the tracer distribution."""
-        if s < 0:
-            raise ValueError("s must be >= 0")
+        if s < 1:
+            raise ValueError("state functionals start at the (1+1)-sector")
+        self._check_cap(s + order, "functional")
         model = self.model
-        if s + order > self.profile.n_max:
-            raise ValueError(
-                f"cap exceeded: functional needs correlation sectors up to {s + order}, "
-                f"profile carries {self.profile.n_max}"
-            )
         shape = (model.n_states,) * (s + 1)
         if route == "resolvent":
             k_rec = order if recon_order is None else recon_order
@@ -367,26 +362,23 @@ class KineticEngine:
         route the identity d/dt F(t) = rhs(F(t)) is exact on the series
         trajectory at matched order.
         """
-        key = (float(t), order, route, variant, hosts)
-        cached = self._rhs_cache.get(key)
-        if cached is not None:
-            return cached
-        model = self.model
-        n = model.n_states
-        free = one_slot_term(model, 0, TRACER, "dual")
-        out = free.copy()
-        if order >= 1 and model.eps > 0:
-            cols = []
-            for b in range(n):
-                basis = np.zeros(n)
-                basis[b] = 1.0
-                f2 = self.state_functional(t, basis, 1, order - 1, variant=variant,
-                                           hosts=hosts, route=route, recon_order=order)
-                cols.append(f2.flat)
-            F2_matrix = np.stack(cols, axis=1)
-            out = out + model.eps * self.collision_matrix(F2_matrix)
-        self._rhs_cache[key] = out
-        return out
+        def build():
+            model = self.model
+            n = model.n_states
+            out = one_slot_term(model, 0, TRACER, "dual")
+            if order >= 1 and model.eps > 0:
+                cols = []
+                for b in range(n):
+                    basis = np.zeros(n)
+                    basis[b] = 1.0
+                    f2 = self.state_functional(t, basis, 1, order - 1, variant=variant,
+                                               hosts=hosts, route=route, recon_order=order)
+                    cols.append(f2.flat)
+                F2_matrix = np.stack(cols, axis=1)
+                out = out + model.eps * self.collision_matrix(F2_matrix)
+            return out
+
+        return self._memo.get(t, ("rhs", order, route, variant, hosts), build)
 
     def fp_rhs(self, F1: np.ndarray, t: float, order: int, route: str = "resolvent",
                variant: str = DEFAULT_VARIANT, hosts: str = DEFAULT_HOSTS) -> np.ndarray:
@@ -397,8 +389,9 @@ class KineticEngine:
         """Classical four-stage Runge-Kutta trajectory of the kinetic equation.
 
         The non-Markovian right-hand side depends on absolute time through
-        the cumulant operators, so stage operators are rebuilt per step and
-        memoized by t.  Steps with mass drift beyond 1e-6 are rejected.
+        the cumulant operators, so stage operators are rebuilt per step; the
+        memo keeps the latest stage time, which the next stage or step reuses.
+        Steps with mass drift beyond 1e-6 are rejected.
         """
         if dt <= 0:
             raise ValueError("dt must be > 0")
@@ -479,16 +472,9 @@ def _expm_one_env(engine: KineticEngine, t: float) -> np.ndarray:
     return mat.reshape(n, n, n, n)[0, :, 0, :]
 
 
-_engines: dict = {}
-
-
 def engine_for(model: ModelSpec, profile: CorrelationProfile) -> KineticEngine:
-    key = (model.key, profile.key)
-    eng = _engines.get(key)
-    if eng is None:
-        eng = KineticEngine(model, profile)
-        _engines[key] = eng
-    return eng
+    """A fresh engine; semigroups are shared through the model's workspace."""
+    return KineticEngine(model, profile)
 
 
 # -- module-level facade -------------------------------------------------------
@@ -497,16 +483,12 @@ def engine_for(model: ModelSpec, profile: CorrelationProfile) -> KineticEngine:
 def scattering_cumulant(model: ModelSpec, profile: CorrelationProfile, t: float,
                         s: int, n: int) -> np.ndarray:
     """Scattering cumulant of order 1+n for the (1+s)-cluster, on 1+s+n slots."""
-    if s + n > 4 or s + n > profile.n_max:
-        raise ValueError("cap exceeded")
-    eng = engine_for(model, profile)
-    return eng.scattering_op(t, tuple(range(s + 1)), tuple(range(s + 1, s + n + 1)), s + n)
+    return engine_for(model, profile).scattering_op(
+        t, tuple(range(s + 1)), tuple(range(s + 1, s + n + 1)), s + n)
 
 
 def generating_V(model: ModelSpec, profile: CorrelationProfile, t: float, s: int, n: int,
                  hosts: str = DEFAULT_HOSTS) -> np.ndarray:
-    if n > 3:
-        raise ValueError("generating operators capped at order 4")
     return engine_for(model, profile).generating_op(t, s, n, hosts=hosts)
 
 
@@ -517,10 +499,6 @@ def reduced_distribution(model: ModelSpec, profile: CorrelationProfile, t: float
 
 def state_functional(model: ModelSpec, profile: CorrelationProfile, t: float,
                      F1: TracerDistribution, s: int, order: int, **kwargs) -> SectorFunction:
-    if s < 1:
-        raise ValueError("state functionals start at the (1+1)-sector")
-    if s + order > 4:
-        raise ValueError("cap exceeded: desk-scale functionals stop at s + K = 4")
     vals = F1.values if isinstance(F1, TracerDistribution) else np.asarray(F1, dtype=float)
     return engine_for(model, profile).state_functional(t, vals, s, order, **kwargs)
 

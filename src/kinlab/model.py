@@ -190,7 +190,7 @@ class ModelSpec:
 
     @property
     def key(self) -> str:
-        """Stable content hash, used for caching and result metadata."""
+        """Stable content hash, used in result metadata."""
         h = hashlib.sha256()
         h.update(f"{self.m}|{self.eps!r}|{self.n_max}".encode())
         h.update(np.asarray(self.grid.weights).tobytes())
@@ -250,18 +250,6 @@ class CorrelationProfile:
     @property
     def n_max(self) -> int:
         return len(self.g) - 1
-
-    @property
-    def key(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.asarray(self.tracer0).tobytes())
-        for arr in self.g:
-            h.update(b"g")
-            h.update(np.asarray(arr).tobytes())
-        for arr in self.env_reduced:
-            h.update(b"e")
-            h.update(np.asarray(arr).tobytes())
-        return h.hexdigest()[:16]
 
     def validate_normalization(self, weights: np.ndarray, tol: float = 1e-12):
         mass = float(np.dot(weights, self.tracer0))

@@ -28,7 +28,6 @@ __all__ = [
     "evaluate_observable",
     "estimate_mean",
     "estimate_means",
-    "dump_trajectory_csv",
 ]
 
 
@@ -155,16 +154,6 @@ def simulate_trajectory(cfg: Configuration, model: ModelSpec, t_end: float,
             state = cfg.tracer if chan.kind in ("tracer-jump", "tracer-env") \
                 else cfg.env[chan.participants[0]]
             record.append((cfg.t, chan.kind, chan.participants, state))
-
-
-def dump_trajectory_csv(path, records_by_id) -> None:
-    """Event log dump: one row per jump, keyed by trajectory id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trajectory_id,t_event,channel_kind,participants,new_state\n")
-        for traj_id, record in records_by_id.items():
-            for t, kind, participants, state in record:
-                parts = ";".join(str(p) for p in participants)
-                fh.write(f"{traj_id},{float(t)!r},{kind},{parts},{state}\n")
 
 
 def evaluate_observable(obs: SequenceState, cfg: Configuration) -> float:

@@ -9,7 +9,6 @@ exponentials are exact workhorses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .sectors import SectorFunction
 __all__ = [
     "TRACER",
     "GeneratorMatrix",
+    "LatestTimeMemo",
     "Workspace",
     "workspace_for",
     "build_forward_generator",
@@ -31,7 +31,6 @@ __all__ = [
     "interaction_term",
     "env_pair_term",
     "one_slot_term",
-    "dump_generator_csv",
 ]
 
 # slot 0 is the tracer; selectors are frozensets of slot axes
@@ -44,18 +43,12 @@ def full_selector(s: int) -> frozenset:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Explicit linear operator on one sector.
-
-    parts keeps the system / environment / interaction summands (the
-    interaction part carries its eps factor), so tests can probe them
-    separately; matrix is their sum.
-    """
+    """Explicit linear operator on one sector: system + environment + interaction."""
 
     s: int
     direction: str
     selector: frozenset
     matrix: np.ndarray = field(repr=False)
-    parts: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -153,24 +146,42 @@ def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: s
         int_block = pair(model.rate_int, model.kernel_int, w)
         for i in env_slots:
             interaction += model.eps * _embed_pair(int_block, 0, i, n_slots, n)
-    matrix = system + environment + interaction
-    return GeneratorMatrix(
-        s=s, direction=direction, selector=frozenset(selector), matrix=matrix,
-        parts={"system": system, "environment": environment, "interaction": interaction},
-    )
+    return GeneratorMatrix(s=s, direction=direction, selector=frozenset(selector),
+                           matrix=system + environment + interaction)
+
+
+class LatestTimeMemo:
+    """Values computed at one time magnitude |t|: the latest one asked for.
+
+    A lookup at a new |t| drops every stored value, so memory stays flat in
+    the number of times a run visits.  t and -t share one set, so an
+    identity at t and the inverse semigroups it needs at -t reuse each other.
+    """
+
+    def __init__(self):
+        self._abs_t = None
+        self._values: dict = {}
+
+    def get(self, t: float, key: tuple, build):
+        """The value stored under (t, *key); build() makes it on a miss."""
+        t = float(t)
+        if abs(t) != self._abs_t:
+            self._abs_t, self._values = abs(t), {}
+        # build() may look up another |t| and replace self._values meanwhile
+        values = self._values
+        key = (t,) + key
+        if key not in values:
+            values[key] = build()
+        return values[key]
 
 
 class Workspace:
-    """Per-model cache of generators and semigroup matrices.
-
-    Generators and exponentials are immutable once built; the cache is
-    read-mostly and safe to share across threads after warm-up.
-    """
+    """Per-model generators (all kept) and semigroups (latest |t| only)."""
 
     def __init__(self, model: ModelSpec):
         self.model = model
         self._generators: dict = {}
-        self._semigroups: dict = {}
+        self._semigroups = LatestTimeMemo()
 
     def generator(self, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
         key = (s, frozenset(selector), direction)
@@ -179,21 +190,18 @@ class Workspace:
         return self._generators[key]
 
     def semigroup(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
-        key = (s, frozenset(selector), float(t), direction)
-        if key not in self._semigroups:
-            gen = self.generator(s, selector, direction)
-            self._semigroups[key] = expm(t * gen.matrix)
-        return self._semigroups[key]
-
-
-_workspaces: dict = {}
+        selector = frozenset(selector)
+        return self._semigroups.get(
+            t, (s, selector, direction),
+            lambda: expm(t * self.generator(s, selector, direction).matrix))
 
 
 def workspace_for(model: ModelSpec) -> Workspace:
-    ws = _workspaces.get(model.key)
+    """The model's workspace, built on first use and freed with the model."""
+    ws = vars(model).get("_workspace")
     if ws is None:
         ws = Workspace(model)
-        _workspaces[model.key] = ws
+        object.__setattr__(model, "_workspace", ws)
     return ws
 
 
@@ -211,7 +219,7 @@ def build_dual_generator(model: ModelSpec, s: int, selector) -> GeneratorMatrix:
     return workspace_for(model).generator(s, frozenset(selector), "dual")
 
 
-def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction, model: ModelSpec | None = None) -> SectorFunction:
+def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction) -> SectorFunction:
     """Apply e^(t * generator) to a sector function.
 
     Negative t is allowed (semigroup inverses are needed by the scattering
@@ -221,21 +229,8 @@ def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction, model: ModelSpec |
         raise ValueError(f"arity mismatch: generator sector {gen.s}, function arity {f.s}")
     if not np.all(np.isfinite(f.data)):
         raise ValueError("non-finite input")
-    if model is not None:
-        mat = workspace_for(model).semigroup(gen.s, gen.selector, t, gen.direction)
-    else:
-        mat = expm(t * gen.matrix)
-    out = mat @ f.flat
+    out = expm(t * gen.matrix) @ f.flat
     return SectorFunction(f.s, out.reshape(f.data.shape))
-
-
-def dump_generator_csv(gen: GeneratorMatrix, path) -> None:
-    """Debug dump of the nonzero generator entries as (row, col, value)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,value\n")
-        rows, cols = np.nonzero(gen.matrix)
-        for r, c in zip(rows, cols):
-            fh.write(f"{r},{c},{float(gen.matrix[r, c])!r}\n")
 
 
 def interaction_term(model: ModelSpec, s: int, env_slot: int, direction: str) -> np.ndarray:

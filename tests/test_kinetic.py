@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,11 @@ def test_state_functional_resolvent_matches_scattering_at_chaos(free_engine):
 def test_state_functional_cap(coupled_engine):
     with pytest.raises(ValueError, match="cap"):
         coupled_engine.state_functional(0.5, np.array([0.7, 0.3]), 2, 3)
+
+
+def test_series_term_cap(coupled_engine):
+    with pytest.raises(ValueError, match="cap exceeded"):
+        coupled_engine.series_term_matrix(0.5, coupled_engine.profile.n_max + 1)
 
 
 def test_duality_exact_under_factorization():
@@ -342,3 +350,61 @@ def test_facade_accepts_tracer_distribution_wrapper():
     assert out.data.shape == (2, 2)
     rhs = fp_rhs(model, profile, f1, 0.5, 1)
     assert rhs.shape == (2,)
+
+
+def test_scattering_op_kept_for_latest_abs_time_only(coupled_engine):
+    op = coupled_engine.scattering_op(0.4, (0, 1), (), 1)
+    ref = weakref.ref(op)
+    coupled_engine.scattering_op(-0.4, (0, 1), (), 1)
+    assert coupled_engine.scattering_op(0.4, (0, 1), (), 1) is op
+    del op
+    coupled_engine.scattering_op(0.9, (0, 1), (), 1)
+    gc.collect()
+    assert ref() is None
+
+
+def test_integrate_fp_releases_first_step_semigroups(coupled_engine):
+    dt = 0.01
+    # the step from 0 to dt reuses this semigroup at its last stage time
+    first = coupled_engine.ws.semigroup(1, full_selector(1), dt, "dual")
+    ref = weakref.ref(first)
+    del first
+    traj = coupled_engine.integrate_fp(coupled_engine.profile.tracer0, 50 * dt, dt, 1)
+    assert len(traj) == 51
+    gc.collect()
+    assert ref() is None
+
+
+F1 = np.array([0.7, 0.3])
+
+# (facade call, engine call) with the same arguments; the profile carries n_max 3
+DOMAIN_CASES = {
+    "scattering s+n > n_max": (
+        lambda m, p: scattering_cumulant(m, p, 0.5, 2, 2),
+        lambda e: e.scattering_op(0.5, (0, 1, 2), (3, 4), 4)),
+    "generating s+n > n_max": (
+        lambda m, p: generating_V(m, p, 0.5, 1, 3),
+        lambda e: e.generating_op(0.5, 1, 3)),
+    "generating n > n_max": (
+        lambda m, p: generating_V(m, p, 0.5, 0, 4),
+        lambda e: e.generating_op(0.5, 0, 4)),
+    "functional s < 1": (
+        lambda m, p: state_functional(m, p, 0.5, F1, 0, 1),
+        lambda e: e.state_functional(0.5, F1, 0, 1)),
+    "functional s+K > n_max": (
+        lambda m, p: state_functional(m, p, 0.5, F1, 2, 2),
+        lambda e: e.state_functional(0.5, F1, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
+def test_facade_and_engine_share_one_domain(coupled_engine, case):
+    via_facade, via_engine = DOMAIN_CASES[case]
+    assert coupled_engine.profile.n_max == 3
+    with pytest.raises(ValueError) as from_facade:
+        via_facade(coupled_engine.model, coupled_engine.profile)
+    with pytest.raises(ValueError) as from_engine:
+        via_engine(coupled_engine)
+    assert str(from_facade.value) == str(from_engine.value)
+    if "n_max" in case:
+        assert str(from_engine.value).startswith("cap exceeded")

@@ -241,19 +241,6 @@ def test_distributional_exactness_total_variation():
         assert tv < 4 * mc_bound, (n, tv, mc_bound)
 
 
-def test_trajectory_dump_csv(tiny_full, tmp_path):
-    from kinlab.montecarlo import dump_trajectory_csv
-    rng = np.random.default_rng(13)
-    record = []
-    simulate_trajectory(Configuration(tracer=0, env=(1,)), tiny_full, 2.0, rng,
-                        record=record)
-    path = tmp_path / "traj.csv"
-    dump_trajectory_csv(path, {0: record})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "trajectory_id,t_event,channel_kind,participants,new_state"
-    assert len(lines) == len(record) + 1
-
-
 def test_evaluate_observable_symmetry(tiny_full):
     obs = additive_observable(np.array([0.3, -0.3]), np.array([2.0, 1.0]), 2)
     a = evaluate_observable(obs, Configuration(tracer=0, env=(0, 1)))

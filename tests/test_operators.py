@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,6 @@ def test_interaction_block_vanishes_without_coupling(tiny):
     lone_t = build_forward_generator(tiny, 0, {TRACER}).matrix
     expected = np.kron(lone_t, np.eye(2)) + np.kron(np.eye(2), lone_t)
     np.testing.assert_allclose(gen.matrix, expected, atol=1e-14)
-    assert np.max(np.abs(gen.parts["interaction"])) == 0.0
 
 
 def test_zero_rates_give_zero_generator():
@@ -201,13 +203,24 @@ def test_adjointness_two_species(s):
         assert abs(lhs - rhs) <= 1e-12
 
 
-def test_dump_generator_csv(tiny, tmp_path):
-    from kinlab.operators import dump_generator_csv
-    gen = build_forward_generator(tiny, 0, {TRACER})
-    path = tmp_path / "gen.csv"
-    dump_generator_csv(gen, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    entries = {(int(r), int(c)): float(v)
-               for r, c, v in (line.split(",") for line in lines[1:])}
-    assert entries[(0, 0)] == -0.5 and entries[(0, 1)] == 0.5
+def test_semigroup_kept_for_latest_abs_time_only(tiny):
+    ws = workspace_for(tiny)
+    sel = full_selector(1)
+    at_t = ws.semigroup(1, sel, 0.3, "dual")
+    ref = weakref.ref(at_t)
+    ws.semigroup(1, sel, -0.3, "dual")
+    assert ws.semigroup(1, sel, 0.3, "dual") is at_t
+    del at_t
+    ws.semigroup(1, sel, 0.7, "dual")
+    gc.collect()
+    assert ref() is None
+
+
+def test_workspace_released_with_its_model():
+    model = tiny_model()
+    ws = workspace_for(model)
+    assert workspace_for(model) is ws
+    ref = weakref.ref(ws)
+    del model, ws
+    gc.collect()
+    assert ref() is None
