@@ -49,14 +49,9 @@ from .hierarchy import (
 from .kinetic import (
     DualityReport,
     KineticEngine,
+    StepRejected,
     TracerDistribution,
-    duality_check,
-    fp_rhs,
-    generating_V,
-    integrate_fp,
-    reduced_distribution,
-    scattering_cumulant,
-    state_functional,
+    engine_for,
 )
 from .montecarlo import (
     Configuration,

@@ -2,8 +2,11 @@
 
 Exit codes partition failures: 0 all checks pass, 1 configuration or
 validation error, 2 tolerance failure (per-check report in metadata),
-3 I/O failure.  CSV bodies are byte-identical across reruns with the same
-config and seed; wall-clock timestamps live only in the JSON sidecar.
+3 I/O failure, 4 numerical failure (a singular linear solve or a rejected
+kinetic step; metadata records a failing ``numerical_failure`` check that
+names the error, and no tables are written).  CSV bodies are
+byte-identical across reruns with the same config and seed; wall-clock
+timestamps live only in the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .hierarchy import (
     reduce_observable,
     reduce_state,
 )
-from .kinetic import engine_for
+from .kinetic import StepRejected, engine_for
 from .model import (
     ConfigError,
     ExperimentConfig,
@@ -289,11 +292,18 @@ def run(config_path: str, kind: str, args) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
+    numerical_error = None
     try:
         tables, checks = RUNNERS[kind](config)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (np.linalg.LinAlgError, StepRejected) as exc:
+        numerical_error = f"{type(exc).__name__}: {exc}"
+        print(f"error: numerical failure: {numerical_error}", file=sys.stderr)
+        tables = {}
+        checks = [{"name": "numerical_failure", "value": 1, "tolerance": 0,
+                   "pass": False, "error": numerical_error}]
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     meta = {
         "kind": kind,
@@ -321,6 +331,8 @@ def run(config_path: str, kind: str, args) -> int:
         status = "pass" if check["pass"] else "FAIL"
         print(f"[{status}] {check['name']}: value {check['value']:.6g} "
               f"vs tolerance {check['tolerance']:.6g}")
+    if numerical_error is not None:
+        return 4
     if not all(c["pass"] for c in checks):
         return 2
     return 0

@@ -14,7 +14,9 @@ Two routes compute the state functionals:
   truncated series map and re-expands the correlated sectors, which makes
   the kinetic-equation identity exact at matched truncation order.
 
-The duality test selects the shipped defaults; both routes stay available.
+The kinetic equation uses the resolvent route; the duality check defaults to
+the scattering route.  ``KineticEngine`` is the one way in: ``engine_for``
+binds it to a (model, profile) pair.
 """
 
 from __future__ import annotations
@@ -43,28 +45,17 @@ __all__ = [
     "TracerDistribution",
     "DualityReport",
     "KineticEngine",
+    "StepRejected",
     "engine_for",
-    "scattering_cumulant",
-    "generating_V",
-    "reduced_distribution",
-    "state_functional",
-    "duality_check",
-    "fp_rhs",
-    "integrate_fp",
-    "DEFAULT_VARIANT",
-    "DEFAULT_HOSTS",
 ]
 
 log = logging.getLogger(__name__)
 
-# Frozen by the duality acceptance test; see README and tests/test_kinetic.py.
-# Variant A attaches free-evolved one-entity environment factors to the
-# functional input; hosts 'both' lets the subtraction terms of the
-# generating operators anchor on the tracer as well as environment slots.
-DEFAULT_VARIANT = "A"
-DEFAULT_HOSTS = "both"
-
 RENORM_TOL = 1e-12
+
+
+class StepRejected(RuntimeError):
+    """A kinetic-equation step broke mass conservation beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -162,17 +153,7 @@ class KineticEngine:
 
         return self._memo.get(t, ("scattering", cluster, singles, sector), build)
 
-    def _host_slots(self, upper: int, hosts: str):
-        env = list(range(1, upper + 1))
-        if hosts == "env":
-            return env
-        if hosts == "tracer":
-            return [TRACER]
-        if hosts == "both":
-            return [TRACER] + env
-        raise ValueError(f"unknown host policy {hosts!r}")
-
-    def generating_op(self, t: float, s: int, n: int, hosts: str = DEFAULT_HOSTS) -> np.ndarray:
+    def generating_op(self, t: float, s: int, n: int) -> np.ndarray:
         """Generating operator of order 1+n for the (1+s)-sector functional.
 
         n = 0 is the plain scattering cumulant; n >= 1 subtracts products of
@@ -200,7 +181,7 @@ class KineticEngine:
                         prefix += nj
                         r_j = s + n - prefix
                         z_j = list(range(r_j + 1, r_j + nj + 1))
-                        stage = self._stage_factor(t, z_j, r_j, sector, hosts)
+                        stage = self._stage_factor(t, z_j, r_j, sector)
                         if stage is None:
                             ok = False
                             break
@@ -210,12 +191,16 @@ class KineticEngine:
                     total += ((-1.0) ** k / math.factorial(rem)) * term
             return math.factorial(n) * total
 
-        return self._memo.get(t, ("generating", s, n, hosts), build)
+        return self._memo.get(t, ("generating", s, n), build)
 
-    def _stage_factor(self, t: float, z_slots, r_j: int, sector: int, hosts: str):
-        """Sum over dissections of the peeled slots, each block on its own host."""
+    def _stage_factor(self, t: float, z_slots, r_j: int, sector: int):
+        """Sum over dissections of the peeled slots, each block on its own host.
+
+        Hosts are the tracer and the environment slots 1..r_j below the
+        peeled ones.
+        """
         dim = self.model.n_states ** (sector + 1)
-        host_pool = self._host_slots(r_j, hosts)
+        host_pool = [TRACER] + list(range(1, r_j + 1))
         acc = np.zeros((dim, dim))
         found = False
         for blocks in enumerate_dissections(z_slots, max_parts=r_j):
@@ -279,19 +264,15 @@ class KineticEngine:
 
     # -- state functionals ---------------------------------------------------
 
-    def functional_input(self, F1: np.ndarray, t: float, sector: int, variant: str) -> np.ndarray:
-        """Tracer-environment product the generating operators act on."""
+    def functional_input(self, F1: np.ndarray, t: float, sector: int) -> np.ndarray:
+        """Tracer distribution times free-evolved one-entity environment factors."""
         out = embed_with_slots(np.asarray(F1, dtype=float), sector, ())
-        if variant == "A":
-            f_t = self.free_env_marginal(t)
-            for i in range(1, sector + 1):
-                out = out * embed_env_vector(f_t, sector, i)
-        elif variant != "B":
-            raise ValueError(f"unknown variant {variant!r}")
+        f_t = self.free_env_marginal(t)
+        for i in range(1, sector + 1):
+            out = out * embed_env_vector(f_t, sector, i)
         return out
 
     def state_functional(self, t: float, F1: np.ndarray, s: int, order: int,
-                         variant: str = DEFAULT_VARIANT, hosts: str = DEFAULT_HOSTS,
                          route: str = "scattering", recon_order: int | None = None) -> SectorFunction:
         """Correlated (1+s)-sector functional of the tracer distribution."""
         if s < 1:
@@ -311,8 +292,8 @@ class KineticEngine:
         acc = np.zeros(shape)
         for n in range(order + 1):
             sector = s + n
-            op = self.generating_op(t, s, n, hosts=hosts)
-            vec = self.functional_input(F1, t, sector, variant)
+            op = self.generating_op(t, s, n)
+            vec = self.functional_input(F1, t, sector)
             out = (op @ vec.reshape(-1)).reshape((model.n_states,) * (sector + 1))
             acc += integrate_env_slots(out, model.weights, s) / math.factorial(n)
         return SectorFunction(s, acc)
@@ -353,8 +334,7 @@ class KineticEngine:
             coll[u, u * n:(u + 1) * n] -= loss_diag[u]
         return coll @ F2_matrix
 
-    def rhs_matrix(self, t: float, order: int, route: str = "resolvent",
-                   variant: str = DEFAULT_VARIANT, hosts: str = DEFAULT_HOSTS) -> np.ndarray:
+    def rhs_matrix(self, t: float, order: int, route: str = "resolvent") -> np.ndarray:
         """Kinetic right-hand side as a matrix on the tracer distribution.
 
         Free tracer flow plus eps times the collision integral over the
@@ -371,18 +351,17 @@ class KineticEngine:
                 for b in range(n):
                     basis = np.zeros(n)
                     basis[b] = 1.0
-                    f2 = self.state_functional(t, basis, 1, order - 1, variant=variant,
-                                               hosts=hosts, route=route, recon_order=order)
+                    f2 = self.state_functional(t, basis, 1, order - 1, route=route,
+                                               recon_order=order)
                     cols.append(f2.flat)
                 F2_matrix = np.stack(cols, axis=1)
                 out = out + model.eps * self.collision_matrix(F2_matrix)
             return out
 
-        return self._memo.get(t, ("rhs", order, route, variant, hosts), build)
+        return self._memo.get(t, ("rhs", order, route), build)
 
-    def fp_rhs(self, F1: np.ndarray, t: float, order: int, route: str = "resolvent",
-               variant: str = DEFAULT_VARIANT, hosts: str = DEFAULT_HOSTS) -> np.ndarray:
-        return self.rhs_matrix(t, order, route=route, variant=variant, hosts=hosts) @ np.asarray(F1, dtype=float)
+    def fp_rhs(self, F1: np.ndarray, t: float, order: int, route: str = "resolvent") -> np.ndarray:
+        return self.rhs_matrix(t, order, route=route) @ np.asarray(F1, dtype=float)
 
     def integrate_fp(self, f0: np.ndarray, t_max: float, dt: float, order: int,
                      route: str = "resolvent") -> list:
@@ -391,7 +370,7 @@ class KineticEngine:
         The non-Markovian right-hand side depends on absolute time through
         the cumulant operators, so stage operators are rebuilt per step; the
         memo keeps the latest stage time, which the next stage or step reuses.
-        Steps with mass drift beyond 1e-6 are rejected.
+        A step with mass drift beyond 1e-6 raises StepRejected.
         """
         if dt <= 0:
             raise ValueError("dt must be > 0")
@@ -408,7 +387,7 @@ class KineticEngine:
             f_new = f + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             drift = float(np.dot(w, f_new)) - 1.0
             if abs(drift) > 1e-6:
-                raise RuntimeError(
+                raise StepRejected(
                     f"kinetic step rejected at t={t + dt:.6f}: mass drift {drift:.3e} "
                     "(dt too large or series inconsistency)"
                 )
@@ -420,14 +399,13 @@ class KineticEngine:
     # -- duality -----------------------------------------------------------------
 
     def duality_check(self, initial_reduced: SequenceState, t: float, order: int,
-                      f1_order: int | None = None, variant: str = DEFAULT_VARIANT,
-                      hosts: str = DEFAULT_HOSTS, route: str = "scattering") -> DualityReport:
+                      route: str = "scattering") -> DualityReport:
         """Compare both pictures of the mean-value functional.
 
         Left: evolve the reduced observables by the hierarchy solution and
         pair against the correlated initial sequence.  Right: pair the
-        initial observables against the tracer-distribution series and the
-        state functionals built from it.
+        initial observables against the tracer-distribution series at order
+        n_max and the state functionals built from it.
         """
         model = self.model
         w = model.weights
@@ -439,14 +417,13 @@ class KineticEngine:
         for s in range(n_max + 1):
             b_t = dual_bbgky_solution(model, initial_reduced, t, s)
             lhs += sector_inner(b_t.data, chain[s].data, w) / math.factorial(s)
-        k_f1 = n_max if f1_order is None else f1_order
-        f1 = self.reduced_distribution(t, k_f1)
+        f1 = self.reduced_distribution(t, n_max)
         rhs = sector_inner(initial_reduced[0].data, f1.values, w)
         for s in range(1, n_max + 1):
             if np.max(np.abs(initial_reduced[s].data)) == 0.0:
                 continue
-            f_s = self.state_functional(t, f1.values, s, order, variant=variant,
-                                        hosts=hosts, route=route, recon_order=k_f1)
+            f_s = self.state_functional(t, f1.values, s, order, route=route,
+                                        recon_order=n_max)
             rhs += sector_inner(initial_reduced[s].data, f_s.data, w) / math.factorial(s)
         return DualityReport(t=t, order=order, eps=model.eps, lhs=lhs, rhs=rhs)
 
@@ -476,46 +453,3 @@ def engine_for(model: ModelSpec, profile: CorrelationProfile) -> KineticEngine:
     """A fresh engine; semigroups are shared through the model's workspace."""
     return KineticEngine(model, profile)
 
-
-# -- module-level facade -------------------------------------------------------
-
-
-def scattering_cumulant(model: ModelSpec, profile: CorrelationProfile, t: float,
-                        s: int, n: int) -> np.ndarray:
-    """Scattering cumulant of order 1+n for the (1+s)-cluster, on 1+s+n slots."""
-    return engine_for(model, profile).scattering_op(
-        t, tuple(range(s + 1)), tuple(range(s + 1, s + n + 1)), s + n)
-
-
-def generating_V(model: ModelSpec, profile: CorrelationProfile, t: float, s: int, n: int,
-                 hosts: str = DEFAULT_HOSTS) -> np.ndarray:
-    return engine_for(model, profile).generating_op(t, s, n, hosts=hosts)
-
-
-def reduced_distribution(model: ModelSpec, profile: CorrelationProfile, t: float,
-                         order: int) -> TracerDistribution:
-    return engine_for(model, profile).reduced_distribution(t, order)
-
-
-def state_functional(model: ModelSpec, profile: CorrelationProfile, t: float,
-                     F1: TracerDistribution, s: int, order: int, **kwargs) -> SectorFunction:
-    vals = F1.values if isinstance(F1, TracerDistribution) else np.asarray(F1, dtype=float)
-    return engine_for(model, profile).state_functional(t, vals, s, order, **kwargs)
-
-
-def duality_check(model: ModelSpec, profile: CorrelationProfile,
-                  initial_reduced: SequenceState, t: float, order: int,
-                  **kwargs) -> DualityReport:
-    return engine_for(model, profile).duality_check(initial_reduced, t, order, **kwargs)
-
-
-def fp_rhs(model: ModelSpec, profile: CorrelationProfile, F1, t: float, order: int,
-           **kwargs) -> np.ndarray:
-    vals = F1.values if isinstance(F1, TracerDistribution) else np.asarray(F1, dtype=float)
-    return engine_for(model, profile).fp_rhs(vals, t, order, **kwargs)
-
-
-def integrate_fp(model: ModelSpec, profile: CorrelationProfile, f0, t_max: float,
-                 dt: float, order: int, **kwargs) -> list:
-    return engine_for(model, profile).integrate_fp(np.asarray(f0, dtype=float),
-                                                   t_max, dt, order, **kwargs)

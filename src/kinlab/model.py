@@ -35,13 +35,23 @@ __all__ = [
 
 KERNEL_TOL = 1e-12
 
+# the documented keys of each config section; load_model rejects any other
+CONFIG_KEYS = {
+    "model": ("m", "grid_points", "grid_weights", "eps", "n_max",
+              "rate_tracer", "rate_env1", "rate_env2", "rate_int",
+              "kernel_tracer", "kernel_env1", "kernel_env2", "kernel_int"),
+    "initial": ("tracer0", "env1", "g", "activity"),
+    "run": ("t_max", "dt", "series_order", "mc_trajectories", "seed"),
+    "output": ("dir", "format"),
+}
+
 
 class ConfigError(ValueError):
     """Malformed configuration document."""
 
 
 class ValidationError(ValueError):
-    """A model invariant is violated; message names the offending key."""
+    """A model requirement is violated; message names the offending key."""
 
 
 @dataclass(frozen=True)
@@ -378,9 +388,10 @@ def _parse_kernel(value: str, n_args: int, n_states: int, weights: np.ndarray) -
 def load_model(config_text: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration document.
 
-    Sections [model], [initial], [run], [output]; see README for keys.
-    Raises ConfigError on malformed documents and ValidationError with the
-    offending key when an invariant fails.
+    Sections [model], [initial], [run], [output] with the keys of
+    CONFIG_KEYS; see README.  Raises ConfigError on malformed documents or
+    unknown keys and ValidationError with the offending key when a
+    requirement fails.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -390,13 +401,18 @@ def load_model(config_text: str) -> ExperimentConfig:
     for section in ("model", "initial", "run"):
         if section not in parser:
             raise ConfigError(f"missing section [{section}]")
+    for section, known in CONFIG_KEYS.items():
+        if section in parser:
+            unknown = sorted(set(parser[section]) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
     sec_m = parser["model"]
     sec_i = parser["initial"]
     sec_r = parser["run"]
     sec_o = parser["output"] if "output" in parser else {}
 
     try:
-        m = sec_m.getint("m", fallback=sec_m.getint("species_count", fallback=1))
+        m = sec_m.getint("m", fallback=1)
         n_points = sec_m.getint("grid_points")
         if n_points is None:
             raise ConfigError("missing key grid_points")

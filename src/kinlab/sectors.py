@@ -36,14 +36,6 @@ def symmetrize_env(data: np.ndarray) -> np.ndarray:
     return acc / math.factorial(s)
 
 
-def is_env_symmetric(data: np.ndarray, tol: float = 1e-12) -> bool:
-    s = data.ndim - 1
-    for perm in itertools.permutations(range(1, s + 1)):
-        if not np.allclose(data, data.transpose((0,) + perm), atol=tol, rtol=0.0):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SectorFunction:
     """Real array over (J x U)^(1+s); slot 0 is the tracer.

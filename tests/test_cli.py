@@ -4,6 +4,7 @@ import os
 import pytest
 
 from kinlab.cli import main
+from kinlab.kinetic import KineticEngine
 
 CONFIG = """
 [model]
@@ -152,3 +153,27 @@ def test_eps_override(config_path, tmp_path):
     assert code == 0
     body = open(os.path.join(out, "duality.csv")).read()
     assert ",0.0" in body.splitlines()[1]
+
+
+def _break_mass(self, F1, t, order, route="resolvent"):
+    return F1  # d/dt of the mass is 1: the first step is rejected
+
+
+@pytest.mark.parametrize("args, patch, error", [
+    (("--eps", "5", "--dt", "0.5", "--t-max", "50"), None, "LinAlgError: Singular matrix"),
+    (("--dt", "0.1"), _break_mass, "StepRejected: kinetic step rejected at t=0.100000"),
+])
+def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypatch,
+                                                 args, patch, error):
+    if patch is not None:
+        monkeypatch.setattr(KineticEngine, "fp_rhs", patch)
+    out = str(tmp_path / "out")
+    code = run_cli("run", "--config", config_path, "--kind", "fp-trajectory",
+                   "--out", out, *args)
+    assert code == 4
+    meta = json.load(open(os.path.join(out, "metadata.json")))
+    (check,) = meta["checks"]
+    assert check["name"] == "numerical_failure"
+    assert check["pass"] is False
+    assert check["error"].startswith(error)
+    assert os.listdir(out) == ["metadata.json"]

@@ -1,28 +1,20 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinlab.combinatorics import cumulant_matrix
 from kinlab.hierarchy import additive_reduced_initial
-from kinlab.kinetic import (
-    KineticEngine,
-    TracerDistribution,
-    duality_check,
-    engine_for,
-    fp_rhs,
-    generating_V,
-    integrate_fp,
-    reduced_distribution,
-    scattering_cumulant,
-    state_functional,
-)
+from kinlab.kinetic import KineticEngine, engine_for
 from kinlab.model import CorrelationProfile, tiny_model
 from kinlab.operators import TRACER, full_selector, one_slot_term, workspace_for
 from kinlab.sectors import embed_with_slots
 
-from conftest import correlated_profile
+from conftest import correlated_profile, random_model
 
 
 @pytest.fixture
@@ -61,13 +53,12 @@ def test_scattering_cumulant_matches_hand_product(coupled_engine):
     hand = main @ np.diag(g_emb.reshape(-1)) \
         @ ws.semigroup(1, frozenset({0}), -t, "dual") \
         @ ws.semigroup(1, frozenset({1}), -t, "dual")
-    got = scattering_cumulant(model, coupled_engine.profile, t, 0, 1)
+    got = coupled_engine.scattering_op(t, (0,), (1,), 1)
     np.testing.assert_allclose(got, hand, atol=1e-12)
 
 
 def test_generating_v_first_order_is_scattering_cumulant(coupled_engine):
-    model = coupled_engine.model
-    got = generating_V(model, coupled_engine.profile, 0.6, 1, 0)
+    got = coupled_engine.generating_op(0.6, 1, 0)
     want = coupled_engine.scattering_op(0.6, (0, 1), (), 1)
     np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -81,13 +72,12 @@ def test_generating_v_general_matches_displayed_formula(coupled_engine):
     """The dissection sum at n = 1 must reproduce the explicit two-term form."""
     eng = coupled_engine
     t = 0.6
-    for hosts in ("env", "tracer", "both"):
-        general = eng.generating_op(t, 1, 1, hosts=hosts)
-        main = eng.scattering_op(t, (0, 1), (2,), 2)
-        lead = eng.scattering_op(t, (0, 1), (), 2)
-        host_slots = {"env": [1], "tracer": [0], "both": [0, 1]}[hosts]
-        sub = sum(eng.scattering_op(t, (h,), (2,), 2) for h in host_slots)
-        np.testing.assert_allclose(general, main - lead @ sub, atol=1e-11)
+    general = eng.generating_op(t, 1, 1)
+    main = eng.scattering_op(t, (0, 1), (2,), 2)
+    lead = eng.scattering_op(t, (0, 1), (), 2)
+    # the peeled slot 2 is anchored at the tracer or at environment slot 1
+    sub = sum(eng.scattering_op(t, (h,), (2,), 2) for h in (TRACER, 1))
+    np.testing.assert_allclose(general, main - lead @ sub, atol=1e-11)
 
 
 def test_generating_v_higher_orders_vanish_under_factorization(free_engine):
@@ -125,13 +115,12 @@ def test_reduced_distribution_series_conserves_mass(coupled_engine):
 
 
 def test_state_functional_chaos_factorizes(free_engine):
-    # variant A reproduces tracer (x) freely evolved environment exactly
+    # the free-evolved environment factors reproduce tracer (x) environment exactly
     t = 0.9
     f1 = free_engine.reduced_distribution(t, 0).values
     f_env = free_engine.free_env_marginal(t)
     for order in (0, 1, 2):
-        got = free_engine.state_functional(t, f1, 1, order, variant="A",
-                                           route="scattering")
+        got = free_engine.state_functional(t, f1, 1, order, route="scattering")
         np.testing.assert_allclose(got.data, np.multiply.outer(f1, f_env), atol=1e-13)
 
 
@@ -164,7 +153,7 @@ def test_duality_exact_under_factorization():
     profile = CorrelationProfile.factorized(model, np.array([0.7, 0.3]),
                                             np.array([0.6, 0.4]), n_max=3)
     b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
-    rep = duality_check(model, profile, b0, 0.8, 0)
+    rep = engine_for(model, profile).duality_check(b0, 0.8, 0)
     assert rep.abs_residual <= 1e-10
 
 
@@ -174,7 +163,7 @@ def test_duality_exact_for_chaos_with_coupling():
     profile = CorrelationProfile.factorized(model, np.array([0.7, 0.3]),
                                             np.array([0.6, 0.4]), n_max=3)
     b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
-    rep = duality_check(model, profile, b0, 0.5, 1)
+    rep = engine_for(model, profile).duality_check(b0, 0.5, 1)
     assert rep.abs_residual <= 1e-12
 
 
@@ -182,18 +171,8 @@ def test_duality_small_residual_with_correlations():
     model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=2)
     profile = correlated_profile(model)
     b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
-    rep = duality_check(model, profile, b0, 0.25, 1)
+    rep = engine_for(model, profile).duality_check(b0, 0.25, 1)
     assert rep.abs_residual <= 1e-6
-
-
-def test_duality_variant_selection():
-    """Variant A beats variant B by orders of magnitude; A is the default."""
-    model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=2)
-    profile = correlated_profile(model)
-    b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
-    res_a = duality_check(model, profile, b0, 0.25, 1, variant="A").abs_residual
-    res_b = duality_check(model, profile, b0, 0.25, 1, variant="B").abs_residual
-    assert res_a < 1e-4 * res_b
 
 
 def test_duality_two_ary_environment_observable():
@@ -208,7 +187,7 @@ def test_duality_two_ary_environment_observable():
         SectorFunction(1, np.zeros((2, 2))),
         SectorFunction(2, np.broadcast_to(pair_obs[np.newaxis, :, :], (2, 2, 2)).copy()),
     ), kind="observable")
-    rep = duality_check(model, profile, b0, 0.25, 1)
+    rep = engine_for(model, profile).duality_check(b0, 0.25, 1)
     assert rep.abs_residual <= 1e-4
     assert abs(rep.lhs) > 1e-3  # non-trivial comparison
 
@@ -251,7 +230,7 @@ def test_integrate_fp_free_matches_analytic():
     model = tiny_model(eps=0.0, n_max=2)
     profile = CorrelationProfile.factorized(model, np.array([0.75, 0.25]),
                                             np.array([0.5, 0.5]))
-    traj = integrate_fp(model, profile, np.array([0.75, 0.25]), 2.0, 1e-3, 0)
+    traj = engine_for(model, profile).integrate_fp(np.array([0.75, 0.25]), 2.0, 1e-3, 0)
     for td in traj[::250]:
         analytic = 0.5 + (np.array([0.75, 0.25]) - 0.5) * np.exp(-td.t)
         assert np.max(np.abs(td.values - analytic)) <= 1e-9
@@ -261,7 +240,7 @@ def test_integrate_fp_mass_conserved_and_positive():
     model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=2)
     profile = CorrelationProfile.factorized(model, np.array([0.7, 0.3]),
                                             np.array([0.6, 0.4]), n_max=3)
-    traj = integrate_fp(model, profile, np.array([0.7, 0.3]), 2.0, 1e-3, 1)
+    traj = engine_for(model, profile).integrate_fp(np.array([0.7, 0.3]), 2.0, 1e-3, 1)
     assert max(abs(td.mass_drift) for td in traj) <= 1e-9
     assert min(td.values.min() for td in traj) >= -1e-9
 
@@ -269,8 +248,9 @@ def test_integrate_fp_mass_conserved_and_positive():
 def test_integrate_fp_endpoint_matches_series():
     model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=2)
     profile = correlated_profile(model)
-    traj = integrate_fp(model, profile, np.array([0.7, 0.3]), 2.0, 1e-3, 1)
-    series = reduced_distribution(model, profile, 2.0, 1).values
+    eng = engine_for(model, profile)
+    traj = eng.integrate_fp(np.array([0.7, 0.3]), 2.0, 1e-3, 1)
+    series = eng.reduced_distribution(2.0, 1).values
     assert np.max(np.abs(traj[-1].values - series)) <= 1e-5
 
 
@@ -279,12 +259,11 @@ def test_integrate_fp_rejects_bad_step():
     profile = CorrelationProfile.factorized(model, np.array([0.75, 0.25]),
                                             np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        integrate_fp(model, profile, np.array([0.75, 0.25]), 1.0, -0.1, 0)
+        engine_for(model, profile).integrate_fp(np.array([0.75, 0.25]), 1.0, -0.1, 0)
 
 
 def test_kinetic_stack_on_weighted_grid():
     """Quadrature weights thread through the whole kinetic machinery."""
-    from conftest import random_model
     model = random_model(77, n_points=3, eps=0.1, n_max=2)
     n = model.n_states
     w = model.weights
@@ -341,17 +320,6 @@ def test_series_terms_decay_geometrically_for_small_data():
     assert all(r < 1 for r in ratios)
 
 
-def test_facade_accepts_tracer_distribution_wrapper():
-    model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=2)
-    profile = correlated_profile(model)
-    f1 = reduced_distribution(model, profile, 0.5, 1)
-    assert isinstance(f1, TracerDistribution)
-    out = state_functional(model, profile, 0.5, f1, 1, 1)
-    assert out.data.shape == (2, 2)
-    rhs = fp_rhs(model, profile, f1, 0.5, 1)
-    assert rhs.shape == (2,)
-
-
 def test_scattering_op_kept_for_latest_abs_time_only(coupled_engine):
     op = coupled_engine.scattering_op(0.4, (0, 1), (), 1)
     ref = weakref.ref(op)
@@ -377,34 +345,51 @@ def test_integrate_fp_releases_first_step_semigroups(coupled_engine):
 
 F1 = np.array([0.7, 0.3])
 
-# (facade call, engine call) with the same arguments; the profile carries n_max 3
+# calls outside the engine's domain; the profile carries n_max 3
 DOMAIN_CASES = {
-    "scattering s+n > n_max": (
-        lambda m, p: scattering_cumulant(m, p, 0.5, 2, 2),
-        lambda e: e.scattering_op(0.5, (0, 1, 2), (3, 4), 4)),
-    "generating s+n > n_max": (
-        lambda m, p: generating_V(m, p, 0.5, 1, 3),
-        lambda e: e.generating_op(0.5, 1, 3)),
-    "generating n > n_max": (
-        lambda m, p: generating_V(m, p, 0.5, 0, 4),
-        lambda e: e.generating_op(0.5, 0, 4)),
-    "functional s < 1": (
-        lambda m, p: state_functional(m, p, 0.5, F1, 0, 1),
-        lambda e: e.state_functional(0.5, F1, 0, 1)),
-    "functional s+K > n_max": (
-        lambda m, p: state_functional(m, p, 0.5, F1, 2, 2),
-        lambda e: e.state_functional(0.5, F1, 2, 2)),
+    "scattering s+n > n_max": lambda e: e.scattering_op(0.5, (0, 1, 2), (3, 4), 4),
+    "generating s+n > n_max": lambda e: e.generating_op(0.5, 1, 3),
+    "generating n > n_max": lambda e: e.generating_op(0.5, 0, 4),
+    "functional s < 1": lambda e: e.state_functional(0.5, F1, 0, 1),
+    "functional s+K > n_max": lambda e: e.state_functional(0.5, F1, 2, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DOMAIN_CASES))
-def test_facade_and_engine_share_one_domain(coupled_engine, case):
-    via_facade, via_engine = DOMAIN_CASES[case]
+def test_engine_domain(coupled_engine, case):
     assert coupled_engine.profile.n_max == 3
-    with pytest.raises(ValueError) as from_facade:
-        via_facade(coupled_engine.model, coupled_engine.profile)
-    with pytest.raises(ValueError) as from_engine:
-        via_engine(coupled_engine)
-    assert str(from_facade.value) == str(from_engine.value)
+    with pytest.raises(ValueError) as err:
+        DOMAIN_CASES[case](coupled_engine)
     if "n_max" in case:
-        assert str(from_engine.value).startswith("cap exceeded")
+        assert str(err.value).startswith("cap exceeded")
+    else:
+        assert str(err.value) == "state functionals start at the (1+1)-sector"
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(2, 3), n_max=st.integers(1, 3),
+       eps=st.floats(0.0, 0.3), gamma=st.floats(-0.3, 0.3), t=st.floats(0.0, 1.5),
+       data=st.data())
+def test_duality_exact_on_random_models_without_env_pairs(seed, n_points, n_max, eps,
+                                                          gamma, t, data):
+    """rate_env2 = 0: the resolvent route is exact with pair correlations and
+    the scattering route is exact for chaos data, at every K <= n_max."""
+    model = random_model(seed, n_points=n_points, eps=eps, n_max=n_max)
+    n = model.n_states
+    model = dataclasses.replace(model, rate_env2=np.zeros((n, n)))
+    order = data.draw(st.integers(0, n_max), label="K")
+    rng = np.random.default_rng(seed)
+    w = model.weights
+    tracer0, env1 = rng.uniform(0.2, 1.0, (2, n))
+    tracer0 /= tracer0 @ w
+    env1 /= env1 @ w
+    b0 = additive_reduced_initial(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), n_max)
+    sigma = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
+    g_pair = 1.0 + gamma * np.multiply.outer(sigma, sigma)
+    correlated = CorrelationProfile.factorized(model, tracer0, env1, g_pair=g_pair,
+                                               n_max=n_max + 1)
+    chaos = CorrelationProfile.factorized(model, tracer0, env1, n_max=n_max + 1)
+    rep = engine_for(model, correlated).duality_check(b0, t, order, route="resolvent")
+    assert rep.abs_residual <= 1e-12
+    rep = engine_for(model, chaos).duality_check(b0, t, order, route="scattering")
+    assert rep.abs_residual <= 1e-12

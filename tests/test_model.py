@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,29 @@ def test_load_rejects_malformed_document():
         load_model("not a config at all [[[")
     with pytest.raises(ConfigError):
         load_model("[model]\ngrid_points = 2\n")  # missing sections
+
+
+@pytest.mark.parametrize("section, line", [
+    ("[model]", "rate_env_2 = 0.0"),  # typo: rate_env2 would silently stay 1.0
+    ("[model]", "species_count = 1"),  # the dropped alias of m
+    ("[initial]", "gamma = 0.2"),
+    ("[run]", "t-max = 2.0"),
+    ("[output]", "fmt = csv"),
+])
+def test_load_rejects_unknown_key(section, line):
+    text = (TINY_TEXT + "\n[output]\ndir = out\n").replace(section, f"{section}\n{line}")
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {section}: {key}")):
+        load_model(text)
+
+
+def test_load_accepts_every_documented_key():
+    extra = {"[initial]": "activity = 1.0", "[run]": "mc_trajectories = 10\nseed = 3"}
+    text = TINY_TEXT
+    for section, lines in extra.items():
+        text = text.replace(section, f"{section}\n{lines}")
+    config = load_model(text + "\n[output]\ndir = out\nformat = json\n")
+    assert (config.seed, config.out_dir, config.out_format) == (3, "out", "json")
 
 
 def test_inline_kernel_table_human_layout():
