@@ -27,10 +27,8 @@ from .operators import (
     evolve,
 )
 from .combinatorics import (
-    dual_cumulant,
     enumerate_dissections,
     enumerate_partitions,
-    forward_cumulant,
     verify_cluster_expansion,
 )
 from .hierarchy import (

@@ -364,6 +364,8 @@ def report(result_dir: str) -> int:
         all_pass = all_pass and check["pass"]
         print(f"  [{status}] {check['name']}: {check['value']:.6g} "
               f"(tolerance {check['tolerance']:.6g})")
+        if "error" in check:
+            print(f"    error: {check['error']}")
     tidy_rows = []
     for name in sorted(os.listdir(result_dir)):
         if not name.endswith(".csv") or name == "plot_data.csv":

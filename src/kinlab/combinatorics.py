@@ -22,8 +22,6 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_dissections",
     "cumulant_matrix",
-    "forward_cumulant",
-    "dual_cumulant",
     "verify_cluster_expansion",
 ]
 
@@ -109,22 +107,6 @@ def cumulant_matrix(model: ModelSpec, t: float, labels, s: int, direction: str) 
             term = term @ ws.semigroup(s, selector, t, direction)
         total += _mobius(len(blocks)) * term
     return total
-
-
-def forward_cumulant(model: ModelSpec, t: float, cluster, singles, s: int) -> np.ndarray:
-    """Forward cumulant A_(1+|singles|)(t, {cluster}, singles) as a matrix.
-
-    cluster is the merged set of slots treated as one partition element;
-    each entry of singles is its own element.
-    """
-    labels = [frozenset(cluster)] + [frozenset({j}) for j in singles]
-    return cumulant_matrix(model, t, labels, s, "forward")
-
-
-def dual_cumulant(model: ModelSpec, t: float, cluster, singles, s: int) -> np.ndarray:
-    """Dual-semigroup counterpart of forward_cumulant."""
-    labels = [frozenset(cluster)] + [frozenset({j}) for j in singles]
-    return cumulant_matrix(model, t, labels, s, "dual")
 
 
 def verify_cluster_expansion(model: ModelSpec, t: float, s: int, n: int,

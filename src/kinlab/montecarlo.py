@@ -1,10 +1,24 @@
 """Exact-jump stochastic oracle for the tracer-plus-environment process.
 
-Direct-method Gillespie: every step re-enumerates all event channels, draws
-an exponential dwell from the total rate, picks a channel proportionally to
-its rate and redraws the jumping entity from the matching kernel row.
-Entity count never changes; the environment size is drawn once from the
-truncated grand-canonical ensemble.
+The jump law is Gillespie's direct method (Gillespie 1977): every event
+channel of a configuration (`enumerate_channels`) fires at its rate and
+redraws the jumping entity from the matching kernel row.  Entity count never
+changes; the environment size is drawn once from the truncated
+grand-canonical ensemble.  `gillespie_step` and `simulate_trajectory` run
+this law one trajectory at a time.
+
+`estimate_means` runs the same law from a table, the finite-state view that
+uniformization (Jensen 1953) also takes.  `jump_table` lists once per model,
+for every configuration of every sector n = 0..n_max, the rate of each
+one-entity jump, built from the channels.  Redraws that keep the entity's
+state stay in the table as self-jumps, so a row's total is the
+configuration's total channel rate and the dwell law is the direct
+method's.  Trajectories advance in lockstep blocks of BLOCK with numpy: each
+round draws an exponential dwell and a target from the row CDF for every
+live trajectory, and retires those whose clock passes t or that reach an
+absorbing configuration (total rate 0, never divided by).  Block k draws
+from stream k of SeedSequence(seed).spawn(n_blocks), so reruns are
+bit-identical and memory does not grow with the trajectory count.
 """
 
 from __future__ import annotations
@@ -18,17 +32,24 @@ from .model import CorrelationProfile, ModelSpec, build_initial_state
 from .sectors import SequenceState
 
 __all__ = [
+    "BLOCK",
     "Configuration",
     "EventChannel",
     "Estimate",
+    "JumpTable",
+    "jump_table",
     "sample_initial",
     "enumerate_channels",
     "gillespie_step",
     "simulate_trajectory",
     "evaluate_observable",
+    "final_counts",
     "estimate_mean",
     "estimate_means",
 ]
+
+# trajectories per lockstep block, each block with its own stream
+BLOCK = 4096
 
 
 @dataclass
@@ -57,6 +78,14 @@ def _weighted_choice(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
 
 
+def _sector_weights(w: np.ndarray, n: int) -> np.ndarray:
+    """Quadrature weight of every configuration of sector n, shape (d,)*(1+n)."""
+    wprod = w.copy()
+    for _ in range(n):
+        wprod = np.multiply.outer(wprod, w)
+    return wprod
+
+
 def sample_initial(profile: CorrelationProfile, model: ModelSpec, z: float,
                    rng: np.random.Generator,
                    ensemble: SequenceState | None = None) -> Configuration:
@@ -69,21 +98,13 @@ def sample_initial(profile: CorrelationProfile, model: ModelSpec, z: float,
     if ensemble is None:
         ensemble, _ = build_initial_state(profile, model, z)
     w = model.weights
-    masses = []
-    for n, sec in enumerate(ensemble.sectors):
-        wprod = w.copy()
-        for _ in range(n):
-            wprod = np.multiply.outer(wprod, w)
-        masses.append(float(np.sum(wprod * sec.data)) / math.factorial(n))
-    masses = np.array(masses)
+    masses = np.array([float(np.sum(_sector_weights(w, n) * sec.data)) / math.factorial(n)
+                       for n, sec in enumerate(ensemble.sectors)])
     if not np.any(masses > 0):
         raise ValueError("all-zero ensemble")
     n = _weighted_choice(rng, masses)
     sec = ensemble[n]
-    wprod = w.copy()
-    for _ in range(n):
-        wprod = np.multiply.outer(wprod, w)
-    probs = (wprod * sec.data).reshape(-1)
+    probs = (_sector_weights(w, n) * sec.data).reshape(-1)
     flat = _weighted_choice(rng, probs)
     idx = np.unravel_index(flat, sec.data.shape)
     return Configuration(tracer=int(idx[0]), env=tuple(int(i) for i in idx[1:]), t=0.0)
@@ -164,31 +185,157 @@ def evaluate_observable(obs: SequenceState, cfg: Configuration) -> float:
     return float(obs[n].data[(cfg.tracer,) + cfg.env])
 
 
+@dataclass(frozen=True)
+class JumpTable:
+    """Every one-entity jump of a model, over the sectors n = 0..n_max.
+
+    A configuration is a global flat index: sector n holds offsets[n] up to
+    offsets[n + 1] - 1, its (tracer, env...) array in C order.  Row c lists,
+    per slot and target state, the target configuration and the jump rate;
+    sector n fills (1 + n) * d entries and pads with rate-0 self targets.
+    The off-diagonal rates are the forward generator's entries, and
+    rates[c].sum() is c's total channel rate; a row with total 0 is
+    absorbing and never sampled.
+    """
+
+    offsets: np.ndarray = field(repr=False)   # (n_max + 2,)
+    targets: np.ndarray = field(repr=False)   # (N, J) global indices
+    rates: np.ndarray = field(repr=False)     # (N, J)
+    total: np.ndarray = field(repr=False)     # (N,) total rate per row
+    cdf: np.ndarray = field(repr=False)       # (N, J) row CDF, exactly 1.0 at its end
+
+
+def _sector_jumps(model: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Targets (flat in sector n) and rates, shape (d**(1+n), 1+n, d)."""
+    d = model.n_states
+    shape = (d,) * (n + 1)
+    dim = d ** (n + 1)
+    rates = np.zeros((dim, n + 1, d))
+    for flat, idx in enumerate(np.ndindex(*shape)):
+        cfg = Configuration(tracer=idx[0], env=idx[1:])
+        # summed per part and in channel order, as the generator sums
+        # system + environment + interaction, so the entries agree bit for bit
+        system, interaction = np.zeros(d), np.zeros(d)
+        for chan in enumerate_channels(cfg, model):
+            row = _kernel_row(model, chan.kind, cfg, chan.participants)
+            if chan.kind == "tracer-jump":
+                system += chan.rate * row
+            elif chan.kind == "tracer-env":
+                # eps * (a * row): the generator's grouping of chan.rate * row
+                e = cfg.env[chan.participants[1]]
+                interaction += model.eps * (model.rate_int[cfg.tracer, e] * row)
+            else:
+                rates[flat, 1 + chan.participants[0]] += chan.rate * row
+        rates[flat, 0] = system + interaction
+    digits = np.indices(shape).reshape(n + 1, dim).T
+    strides = d ** np.arange(n, -1, -1)
+    targets = (np.arange(dim)[:, None, None]
+               + (np.arange(d)[None, None, :] - digits[:, :, None]) * strides[None, :, None])
+    return targets, rates
+
+
+def _build_jump_table(model: ModelSpec) -> JumpTable:
+    d = model.n_states
+    width = (model.n_max + 1) * d
+    offsets = np.cumsum([0] + [d ** (n + 1) for n in range(model.n_max + 1)])
+    targets = np.repeat(np.arange(offsets[-1]), width).reshape(-1, width)
+    rates = np.zeros(targets.shape)
+    for n in range(model.n_max + 1):
+        lo, hi = offsets[n], offsets[n + 1]
+        sector_targets, sector_rates = _sector_jumps(model, n)
+        targets[lo:hi, :(n + 1) * d] = lo + sector_targets.reshape(hi - lo, -1)
+        rates[lo:hi, :(n + 1) * d] = sector_rates.reshape(hi - lo, -1)
+    cum = np.cumsum(rates, axis=1)
+    total = cum[:, -1]
+    live = total > 0
+    cdf = np.ones(rates.shape)
+    cdf[live] = cum[live] / total[live, None]
+    return JumpTable(offsets=offsets, targets=targets, rates=rates, total=total, cdf=cdf)
+
+
+def jump_table(model: ModelSpec) -> JumpTable:
+    """The model's jump table, built on first use and freed with the model."""
+    table = vars(model).get("_jump_table")
+    if table is None:
+        table = _build_jump_table(model)
+        object.__setattr__(model, "_jump_table", table)
+    return table
+
+
+def _initial_cdf(ensemble: SequenceState, model: ModelSpec) -> np.ndarray:
+    """CDF of D(0) over the global configuration index of the jump table."""
+    w = model.weights
+    mass = np.concatenate([(_sector_weights(w, n) * ensemble[n].data).reshape(-1)
+                           / math.factorial(n) for n in range(model.n_max + 1)])
+    if np.any(mass < 0) or not np.any(mass > 0):
+        raise ValueError("ensemble must be nonnegative and not all zero")
+    cum = np.cumsum(mass)
+    return cum / cum[-1]
+
+
+def _run_block(table: JumpTable, initial_cdf: np.ndarray, t: float, size: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Final configurations at time t of `size` trajectories run in lockstep."""
+    state = np.searchsorted(initial_cdf, rng.random(size), side="right")
+    clock = np.zeros(size)
+    live = np.flatnonzero(table.total[state] > 0)
+    while live.size:
+        at = state[live]
+        clock[live] += rng.standard_exponential(live.size) / table.total[at]
+        moving = clock[live] <= t
+        live, at = live[moving], at[moving]
+        entry = (table.cdf[at] <= rng.random(live.size)[:, None]).sum(axis=1)
+        state[live] = table.targets[at, entry]
+        live = live[table.total[state[live]] > 0]
+    return state
+
+
+def final_counts(profile: CorrelationProfile, model: ModelSpec, t: float, n_traj: int,
+                 seed: int, z: float = 1.0) -> np.ndarray:
+    """How many of n_traj trajectories sit in each configuration at time t.
+
+    Indexed like the rows of jump_table(model).  The trajectories start
+    from D(0) and follow the table in lockstep blocks of BLOCK (the last
+    block holds the remainder).  Block k draws from stream k of
+    SeedSequence(seed).spawn(n_blocks), so a rerun is bit-identical.  A
+    trajectory stops at the first dwell that passes t, or at an absorbing
+    configuration (total rate 0), where it stays.  Memory is one block's
+    arrays whatever n_traj.
+    """
+    if n_traj < 1:
+        raise ValueError("need at least one trajectory")
+    table = jump_table(model)
+    ensemble, _ = build_initial_state(profile, model, z)
+    initial_cdf = _initial_cdf(ensemble, model)
+    counts = np.zeros(len(table.total), dtype=np.int64)
+    root = np.random.SeedSequence(seed)
+    for start in range(0, n_traj, BLOCK):
+        (stream,) = root.spawn(1)   # child k of root, as spawn(n_blocks)[k]
+        rng = np.random.Generator(np.random.PCG64(stream))
+        final = _run_block(table, initial_cdf, t, min(BLOCK, n_traj - start), rng)
+        counts += np.bincount(final, minlength=len(counts))
+    return counts
+
+
 def estimate_means(observables, profile: CorrelationProfile, model: ModelSpec,
                    t: float, n_traj: int, seed: int, z: float = 1.0) -> list:
     """Monte Carlo means of several observables over one shared trajectory set.
 
-    Trajectories get independent RNG streams spawned from the seed, so the
-    estimates are reproducible and the trajectory set is embarrassingly
-    parallel; the reduction order is fixed by trajectory index.
+    The trajectories are those of final_counts with the same arguments;
+    each mean and standard error is an exact sum over that histogram.
     """
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
-    observables = list(observables)
-    ensemble, _ = build_initial_state(profile, model, z)
-    streams = np.random.SeedSequence(seed).spawn(n_traj)
-    vals = np.empty((len(observables), n_traj))
-    for k, ss in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(ss))
-        cfg = sample_initial(profile, model, z, rng, ensemble=ensemble)
-        cfg = simulate_trajectory(cfg, model, t, rng)
-        for i, obs in enumerate(observables):
-            vals[i, k] = evaluate_observable(obs, cfg)
+    counts = final_counts(profile, model, t, n_traj, seed, z)
+    offsets = jump_table(model).offsets
     out = []
-    for i in range(len(observables)):
-        mean = float(vals[i].mean())
-        stderr = float(vals[i].std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-        out.append(Estimate(mean=mean, stderr=stderr, n_samples=n_traj))
+    for obs in observables:
+        top = min(obs.n_max, model.n_max)
+        if counts[offsets[top + 1]:].any():
+            raise ValueError("observable sequence too short for configuration")
+        vals = np.concatenate([obs[n].data.reshape(-1) for n in range(top + 1)])
+        hits = counts[:len(vals)]
+        mean = float(hits @ vals) / n_traj
+        var = float(hits @ (vals - mean) ** 2) / (n_traj - 1) if n_traj > 1 else 0.0
+        out.append(Estimate(mean=mean, stderr=math.sqrt(var / n_traj), n_samples=n_traj))
     return out
 
 

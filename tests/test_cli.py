@@ -163,7 +163,7 @@ def _break_mass(self, F1, t, order, route="resolvent"):
     (("--eps", "5", "--dt", "0.5", "--t-max", "50"), None, "LinAlgError: Singular matrix"),
     (("--dt", "0.1"), _break_mass, "StepRejected: kinetic step rejected at t=0.100000"),
 ])
-def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypatch,
+def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypatch, capsys,
                                                  args, patch, error):
     if patch is not None:
         monkeypatch.setattr(KineticEngine, "fp_rhs", patch)
@@ -177,3 +177,6 @@ def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypa
     assert check["pass"] is False
     assert check["error"].startswith(error)
     assert os.listdir(out) == ["metadata.json"]
+    capsys.readouterr()
+    assert run_cli("report", out) == 0
+    assert f"error: {check['error']}" in capsys.readouterr().out

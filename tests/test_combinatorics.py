@@ -7,10 +7,8 @@ import pytest
 from kinlab.combinatorics import (
     MAX_ELEMENTS,
     cumulant_matrix,
-    dual_cumulant,
     enumerate_dissections,
     enumerate_partitions,
-    forward_cumulant,
     verify_cluster_expansion,
 )
 from kinlab.model import tiny_model
@@ -119,23 +117,23 @@ def test_cumulant_coefficients_match_lattice_mobius(n):
 def test_first_cumulant_is_semigroup(tiny_coupled):
     ws = workspace_for(tiny_coupled)
     t = 0.7
-    got = forward_cumulant(tiny_coupled, t, {TRACER}, [], 0)
+    got = cumulant_matrix(tiny_coupled, t, [{TRACER}], 0, "forward")
     np.testing.assert_allclose(got, ws.semigroup(0, frozenset({TRACER}), t, "forward"),
                                atol=1e-13)
-    got2 = dual_cumulant(tiny_coupled, t, {TRACER, 1}, [], 1)
+    got2 = cumulant_matrix(tiny_coupled, t, [{TRACER, 1}], 1, "dual")
     np.testing.assert_allclose(got2, ws.semigroup(1, full_selector(1), t, "dual"),
                                atol=1e-13)
 
 
 def test_second_cumulant_vanishes_without_coupling(tiny):
-    got = forward_cumulant(tiny, 0.7, {TRACER}, [1], 1)
+    got = cumulant_matrix(tiny, 0.7, [{TRACER}, {1}], 1, "forward")
     assert np.max(np.abs(got)) <= 1e-12
 
 
 def test_second_cumulant_two_term_formula(tiny_coupled):
     ws = workspace_for(tiny_coupled)
     t = 0.7
-    got = forward_cumulant(tiny_coupled, t, {TRACER}, [1], 1)
+    got = cumulant_matrix(tiny_coupled, t, [{TRACER}, {1}], 1, "forward")
     direct = ws.semigroup(1, full_selector(1), t, "forward") \
         - ws.semigroup(1, frozenset({TRACER}), t, "forward") \
         @ ws.semigroup(1, frozenset({1}), t, "forward")
@@ -146,7 +144,7 @@ def test_second_cumulant_two_term_formula(tiny_coupled):
 def test_dual_second_cumulant_two_term_formula(tiny_coupled):
     ws = workspace_for(tiny_coupled)
     t = 0.7
-    got = dual_cumulant(tiny_coupled, t, {TRACER}, [1], 1)
+    got = cumulant_matrix(tiny_coupled, t, [{TRACER}, {1}], 1, "dual")
     direct = ws.semigroup(1, full_selector(1), t, "dual") \
         - ws.semigroup(1, frozenset({TRACER}), t, "dual") \
         @ ws.semigroup(1, frozenset({1}), t, "dual")
@@ -156,7 +154,8 @@ def test_dual_second_cumulant_two_term_formula(tiny_coupled):
 @pytest.mark.parametrize("order", [2, 3])
 def test_cumulants_vanish_at_time_zero(tiny_full, order):
     singles = list(range(1, order))
-    got = forward_cumulant(tiny_full, 0.0, {TRACER}, singles, order - 1)
+    got = cumulant_matrix(tiny_full, 0.0, [{TRACER}] + [{j} for j in singles], order - 1,
+                          "forward")
     assert np.max(np.abs(got)) <= 1e-12
 
 
@@ -186,5 +185,6 @@ def test_mixed_cumulants_vanish_under_full_factorization():
     # eps = 0 and zero pair rates: any cumulant mixing tracer and environment dies
     model = tiny_model(eps=0.0, rate_env2=0.0, n_max=3)
     for singles in ([1], [1, 2], [1, 2, 3]):
-        got = forward_cumulant(model, 0.9, {TRACER}, singles, len(singles))
+        got = cumulant_matrix(model, 0.9, [{TRACER}] + [{j} for j in singles], len(singles),
+                              "forward")
         assert np.max(np.abs(got)) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,17 +8,21 @@ from scipy import stats
 from kinlab.hierarchy import additive_observable, evolve_full, mean_value_full
 from kinlab.model import CorrelationProfile, build_initial_state, tiny_model
 from kinlab.montecarlo import (
+    BLOCK,
     Configuration,
     enumerate_channels,
     estimate_mean,
     estimate_means,
     evaluate_observable,
+    final_counts,
     gillespie_step,
+    jump_table,
     sample_initial,
     simulate_trajectory,
 )
+from kinlab.operators import build_forward_generator, full_selector
 
-from conftest import correlated_profile
+from conftest import correlated_profile, random_model
 
 
 def test_sample_initial_nmax0_always_empty_environment():
@@ -241,8 +246,132 @@ def test_distributional_exactness_total_variation():
         assert tv < 4 * mc_bound, (n, tv, mc_bound)
 
 
+def _uniform_profile(model):
+    flat = np.full(model.n_states, 1.0 / model.weights.sum())
+    return CorrelationProfile.factorized(model, flat, flat)
+
+
+@pytest.mark.parametrize("model, profile_of", [
+    (tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=2),
+     lambda model: correlated_profile(model, env1=(0.6, 0.4))),
+    (random_model(3, n_points=3, n_max=3), _uniform_profile),
+], ids=["tiny-copy", "random3"])
+def test_lockstep_distributional_exactness_total_variation(model, profile_of):
+    """The lockstep final-state histogram converges to the evolved exact marginals."""
+    profile = profile_of(model)
+    ensemble, _ = build_initial_state(profile, model, 1.0)
+    t = 0.5
+    evolved = evolve_full(model, ensemble, t, "dual")
+    counts = final_counts(profile, model, t, 100000, seed=21)
+    offsets = jump_table(model).offsets
+    for n in range(model.n_max + 1):
+        hist = counts[offsets[n]:offsets[n + 1]]
+        wprod = model.weights
+        for _ in range(n):
+            wprod = np.multiply.outer(wprod, model.weights)
+        exact = (wprod * evolved[n].data).reshape(-1)
+        exact = exact / exact.sum()
+        tv = 0.5 * np.abs(hist / hist.sum() - exact).sum()
+        mc_bound = 0.5 * np.sum(np.sqrt(exact * (1 - exact) / hist.sum()))
+        assert tv < 4 * mc_bound, (n, tv, mc_bound)
+
+
 def test_evaluate_observable_symmetry(tiny_full):
     obs = additive_observable(np.array([0.3, -0.3]), np.array([2.0, 1.0]), 2)
     a = evaluate_observable(obs, Configuration(tracer=0, env=(0, 1)))
     b = evaluate_observable(obs, Configuration(tracer=0, env=(1, 0)))
     assert a == b
+
+
+def _zero_rates(model, **rates):
+    fields = dict(rate_tracer=np.zeros(model.n_states), rate_env1=np.zeros(model.n_states),
+                  rate_env2=np.zeros((model.n_states,) * 2),
+                  rate_int=np.zeros((model.n_states,) * 2))
+    fields.update(rates)
+    return type(model)(
+        m=model.m, grid=model.grid, eps=model.eps, n_max=model.n_max,
+        kernel_tracer=model.kernel_tracer, kernel_env1=model.kernel_env1,
+        kernel_env2=model.kernel_env2, kernel_int=model.kernel_int, **fields,
+    )
+
+
+@pytest.mark.parametrize("model", [
+    tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=2),
+    random_model(0, n_points=3, n_max=3),
+    random_model(1, n_points=3, n_max=3),
+], ids=["tiny-copy", "random3-0", "random3-1"])
+def test_jump_table_matches_generator_and_channels(model):
+    """Built from the channels alone, the table is the generator's off-diagonal part."""
+    table = jump_table(model)
+    width = table.rates.shape[1]
+    for n in range(model.n_max + 1):
+        lo, hi = table.offsets[n], table.offsets[n + 1]
+        dense = np.zeros((hi - lo, hi - lo))
+        np.add.at(dense, (np.repeat(np.arange(hi - lo), width), table.targets[lo:hi].ravel() - lo),
+                  table.rates[lo:hi].ravel())
+        gen = build_forward_generator(model, n, full_selector(n)).matrix
+        off = ~np.eye(hi - lo, dtype=bool)
+        assert np.max(np.abs(dense[off] - gen[off])) == 0.0
+        for flat, idx in enumerate(np.ndindex(*(model.n_states,) * (n + 1))):
+            chans = enumerate_channels(Configuration(tracer=idx[0], env=idx[1:]), model)
+            assert table.rates[lo + flat].sum() == pytest.approx(sum(c.rate for c in chans),
+                                                                 rel=1e-12)
+
+
+def test_estimate_all_rates_zero_is_initial_mean():
+    # absorbing rows are masked: no jump, no division by a zero rate
+    model = _zero_rates(tiny_model(n_max=2))
+    point = CorrelationProfile.factorized(model, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    obs = additive_observable(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 2)
+    ensemble, _ = build_initial_state(point, model, 1.0)
+    with np.errstate(all="raise"):
+        est = estimate_mean(obs, point, model, 5.0, 3000, seed=13)
+    # every draw is (0, 1, ..., 1): the mean is 1 + E[n] over the ensemble
+    assert est.mean == pytest.approx(mean_value_full(obs, ensemble, model), abs=3 * est.stderr)
+    tracer_only = additive_observable(np.array([1.0, 0.0]), np.zeros(2), 2)
+    with np.errstate(all="raise"):
+        est = estimate_mean(tracer_only, point, model, 5.0, 3000, seed=13)
+    assert est.mean == 1.0 and est.stderr == 0.0
+
+
+def test_estimate_absorbed_mid_run_matches_deterministic_oracle():
+    # state 0 is inert, so trajectories fall into the all-zero configuration and stay
+    model = _zero_rates(tiny_model(n_max=2), rate_tracer=np.array([0.0, 1.5]),
+                        rate_env1=np.array([0.0, 1.0]))
+    profile = correlated_profile(model)
+    obs = additive_observable(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
+    with np.errstate(all="raise"):
+        est = estimate_mean(obs, profile, model, 2.0, 30000, seed=14)
+    ensemble, _ = build_initial_state(profile, model, 1.0)
+    exact = mean_value_full(evolve_full(model, obs, 2.0, "forward"), ensemble, model)
+    assert abs(est.mean - exact) <= 3 * est.stderr
+
+
+def test_partial_last_block_is_reproducible():
+    model = tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=2)
+    profile = correlated_profile(model)
+    obs = additive_observable(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
+    n_traj = 2 * BLOCK + 123
+    a = estimate_mean(obs, profile, model, 0.5, n_traj, seed=15)
+    b = estimate_mean(obs, profile, model, 0.5, n_traj, seed=15)
+    assert a == b and a.n_samples == n_traj
+    assert estimate_mean(obs, profile, model, 0.5, n_traj, seed=16) != a
+
+
+def test_estimate_memory_flat_in_trajectory_count():
+    model = random_model(2, n_points=3, n_max=3)
+    tracer0 = np.full(3, 1.0 / model.weights.sum())
+    profile = CorrelationProfile.factorized(model, tracer0, tracer0)
+    obs = additive_observable(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, -1.0]), 3)
+    estimate_mean(obs, profile, model, 0.2, 10, seed=17)   # the table is built here
+    peaks = {}
+    for n_traj in (BLOCK, 10**6):
+        tracemalloc.start()
+        try:
+            est = estimate_mean(obs, profile, model, 0.2, n_traj, seed=17)
+            peaks[n_traj] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_samples == n_traj
+    # one float per trajectory alone would be 8 MB at 10**6
+    assert peaks[10**6] <= 2 * peaks[BLOCK], peaks
