@@ -54,7 +54,6 @@ from .kinetic import (
 from .montecarlo import (
     Configuration,
     Estimate,
-    EventChannel,
     estimate_mean,
     estimate_means,
     gillespie_step,

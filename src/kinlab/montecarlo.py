@@ -1,24 +1,19 @@
 """Exact-jump stochastic oracle for the tracer-plus-environment process.
 
-The jump law is Gillespie's direct method (Gillespie 1977): every event
-channel of a configuration (`enumerate_channels`) fires at its rate and
-redraws the jumping entity from the matching kernel row.  Entity count never
-changes; the environment size is drawn once from the truncated
-grand-canonical ensemble.  `gillespie_step` and `simulate_trajectory` run
-this law one trajectory at a time.
+One jump law, two drivers.  The law is Gillespie's direct method (Gillespie
+1977) held as a table, as uniformization (Jensen 1953) views a finite chain:
+`jump_table` lists once per model, for every configuration of every sector
+n = 0..n_max, the rate of each one-entity jump, built from the event
+channels (`enumerate_channels`) and their kernel rows.  Self-jumps stay in,
+so a row's total is the configuration's total channel rate.  A
+configuration waits an exponential dwell at that total, then jumps to a
+target drawn from the row CDF; total 0 is absorbing.  Entity count never
+changes: the configuration, environment size included, is drawn once from
+the CDF of D(0), which is built once per (model, profile, z).
 
-`estimate_means` runs the same law from a table, the finite-state view that
-uniformization (Jensen 1953) also takes.  `jump_table` lists once per model,
-for every configuration of every sector n = 0..n_max, the rate of each
-one-entity jump, built from the channels.  Redraws that keep the entity's
-state stay in the table as self-jumps, so a row's total is the
-configuration's total channel rate and the dwell law is the direct
-method's.  Trajectories advance in lockstep blocks of BLOCK with numpy: each
-round draws an exponential dwell and a target from the row CDF for every
-live trajectory, and retires those whose clock passes t or that reach an
-absorbing configuration (total rate 0, never divided by).  Block k draws
-from stream k of SeedSequence(seed).spawn(n_blocks), so reruns are
-bit-identical and memory does not grow with the trajectory count.
+`sample_initial`, `gillespie_step` and `simulate_trajectory` drive the law
+one trajectory at a time; `final_counts` and `estimate_means` drive blocks
+of BLOCK trajectories in lockstep with numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CorrelationProfile, ModelSpec, build_initial_state
+from .model import CorrelationProfile, ModelSpec, ValidationError, build_initial_state
 from .sectors import SequenceState
 
 __all__ = [
@@ -73,43 +68,6 @@ class Estimate:
     n_samples: int
 
 
-def _weighted_choice(rng: np.random.Generator, probs: np.ndarray) -> int:
-    u = rng.random() * probs.sum()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
-
-
-def _sector_weights(w: np.ndarray, n: int) -> np.ndarray:
-    """Quadrature weight of every configuration of sector n, shape (d,)*(1+n)."""
-    wprod = w.copy()
-    for _ in range(n):
-        wprod = np.multiply.outer(wprod, w)
-    return wprod
-
-
-def sample_initial(profile: CorrelationProfile, model: ModelSpec, z: float,
-                   rng: np.random.Generator,
-                   ensemble: SequenceState | None = None) -> Configuration:
-    """Exact draw from the truncated grand-canonical ensemble D(0).
-
-    The environment size n is drawn with probability proportional to
-    (1/n!) times the weighted mass of the n-sector, then the configuration
-    from the normalized sector array.
-    """
-    if ensemble is None:
-        ensemble, _ = build_initial_state(profile, model, z)
-    w = model.weights
-    masses = np.array([float(np.sum(_sector_weights(w, n) * sec.data)) / math.factorial(n)
-                       for n, sec in enumerate(ensemble.sectors)])
-    if not np.any(masses > 0):
-        raise ValueError("all-zero ensemble")
-    n = _weighted_choice(rng, masses)
-    sec = ensemble[n]
-    probs = (_sector_weights(w, n) * sec.data).reshape(-1)
-    flat = _weighted_choice(rng, probs)
-    idx = np.unravel_index(flat, sec.data.shape)
-    return Configuration(tracer=int(idx[0]), env=tuple(int(i) for i in idx[1:]), t=0.0)
-
-
 def enumerate_channels(cfg: Configuration, model: ModelSpec) -> list:
     """All event channels of the current configuration with their rates."""
     chans = [EventChannel("tracer-jump", (-1,), float(model.rate_tracer[cfg.tracer]))]
@@ -139,44 +97,6 @@ def _kernel_row(model: ModelSpec, kind: str, cfg: Configuration, participants) -
     raise ValueError(kind)
 
 
-def gillespie_step(cfg: Configuration, model: ModelSpec,
-                   rng: np.random.Generator) -> tuple[Configuration, float, EventChannel | None]:
-    """One exact jump: returns the new configuration, dwell time and channel.
-
-    A zero total rate is absorbing: infinite dwell, configuration unchanged.
-    """
-    chans = enumerate_channels(cfg, model)
-    rates = np.array([c.rate for c in chans])
-    total = rates.sum()
-    if total <= 0:
-        return cfg, math.inf, None
-    dwell = rng.exponential(1.0 / total)
-    chan = chans[_weighted_choice(rng, rates)]
-    row = _kernel_row(model, chan.kind, cfg, chan.participants)
-    new_state = _weighted_choice(rng, row)
-    env = list(cfg.env)
-    if chan.kind in ("tracer-jump", "tracer-env"):
-        new_cfg = Configuration(tracer=new_state, env=tuple(env), t=cfg.t + dwell)
-    else:
-        env[chan.participants[0]] = new_state
-        new_cfg = Configuration(tracer=cfg.tracer, env=tuple(env), t=cfg.t + dwell)
-    return new_cfg, dwell, chan
-
-
-def simulate_trajectory(cfg: Configuration, model: ModelSpec, t_end: float,
-                        rng: np.random.Generator, record: list | None = None) -> Configuration:
-    """Run the jump process to t_end; optionally record (t, kind, participants, state)."""
-    while True:
-        new_cfg, dwell, chan = gillespie_step(cfg, model, rng)
-        if not math.isfinite(dwell) or new_cfg.t > t_end:
-            return Configuration(tracer=cfg.tracer, env=cfg.env, t=t_end)
-        cfg = new_cfg
-        if record is not None:
-            state = cfg.tracer if chan.kind in ("tracer-jump", "tracer-env") \
-                else cfg.env[chan.participants[0]]
-            record.append((cfg.t, chan.kind, chan.participants, state))
-
-
 def evaluate_observable(obs: SequenceState, cfg: Configuration) -> float:
     """O_(1+n) evaluated at the configuration's states (symmetric in env)."""
     n = len(cfg.env)
@@ -195,14 +115,32 @@ class JumpTable:
     sector n fills (1 + n) * d entries and pads with rate-0 self targets.
     The off-diagonal rates are the forward generator's entries, and
     rates[c].sum() is c's total channel rate; a row with total 0 is
-    absorbing and never sampled.
+    absorbing and never sampled.  Entry j of a row moves slot j // d - 1
+    (-1 the tracer, i environment entity i) to state j % d.
     """
 
+    n_states: int
     offsets: np.ndarray = field(repr=False)   # (n_max + 2,)
     targets: np.ndarray = field(repr=False)   # (N, J) global indices
     rates: np.ndarray = field(repr=False)     # (N, J)
     total: np.ndarray = field(repr=False)     # (N,) total rate per row
     cdf: np.ndarray = field(repr=False)       # (N, J) row CDF, exactly 1.0 at its end
+
+    def index(self, cfg: Configuration) -> int:
+        """Global flat index of a configuration."""
+        flat = cfg.tracer
+        for e in cfg.env:
+            flat = flat * self.n_states + e
+        return int(self.offsets[len(cfg.env)]) + flat
+
+    def configuration(self, index: int, t: float = 0.0) -> Configuration:
+        """The configuration at a global flat index, the inverse of index()."""
+        n = int(self.offsets.searchsorted(index, side="right")) - 1
+        flat, states = index - int(self.offsets[n]), []
+        for _ in range(n + 1):
+            flat, state = divmod(flat, self.n_states)
+            states.append(state)
+        return Configuration(tracer=states[-1], env=tuple(states[-2::-1]), t=t)
 
 
 def _sector_jumps(model: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +188,8 @@ def _build_jump_table(model: ModelSpec) -> JumpTable:
     live = total > 0
     cdf = np.ones(rates.shape)
     cdf[live] = cum[live] / total[live, None]
-    return JumpTable(offsets=offsets, targets=targets, rates=rates, total=total, cdf=cdf)
+    return JumpTable(n_states=d, offsets=offsets, targets=targets, rates=rates, total=total,
+                     cdf=cdf)
 
 
 def jump_table(model: ModelSpec) -> JumpTable:
@@ -262,15 +201,69 @@ def jump_table(model: ModelSpec) -> JumpTable:
     return table
 
 
-def _initial_cdf(ensemble: SequenceState, model: ModelSpec) -> np.ndarray:
-    """CDF of D(0) over the global configuration index of the jump table."""
-    w = model.weights
-    mass = np.concatenate([(_sector_weights(w, n) * ensemble[n].data).reshape(-1)
-                           / math.factorial(n) for n in range(model.n_max + 1)])
-    if np.any(mass < 0) or not np.any(mass > 0):
-        raise ValueError("ensemble must be nonnegative and not all zero")
-    cum = np.cumsum(mass)
-    return cum / cum[-1]
+def _initial_cdf(profile: CorrelationProfile, model: ModelSpec, z: float) -> np.ndarray:
+    """CDF of D(0) over the jump table's index; sector n's masses carry 1/n!.
+
+    Only the latest (profile, z) is kept on the model: a call with the same
+    profile object and an equal z reuses it.
+    """
+    memo = vars(model).get("_initial_cdf")
+    if memo is not None and memo[0] is profile and memo[1] == z:
+        return memo[2]
+    ensemble, _ = build_initial_state(profile, model, z)
+    mass, wprod = [], model.weights   # wprod: quadrature weight of each sector-n cell
+    for n in range(model.n_max + 1):
+        sector = (wprod * ensemble[n].data).reshape(-1) / math.factorial(n)
+        if np.any(sector < 0):
+            raise ValidationError(
+                f"initial: D(0) sector {n} has negative mass (min {sector.min():.3g}); the "
+                "Monte Carlo oracle needs [initial] g, tracer0 and env1 that keep it nonnegative")
+        mass.append(sector)
+        wprod = np.multiply.outer(wprod, model.weights)
+    cum = np.cumsum(np.concatenate(mass))
+    cdf = cum / cum[-1]
+    object.__setattr__(model, "_initial_cdf", (profile, z, cdf))
+    return cdf
+
+
+def sample_initial(profile: CorrelationProfile, model: ModelSpec, z: float,
+                   rng: np.random.Generator) -> Configuration:
+    """Exact draw from the truncated grand-canonical ensemble D(0).
+
+    One uniform against the initial CDF that final_counts uses picks the
+    environment size and the configuration together.
+    """
+    cdf = _initial_cdf(profile, model, z)
+    return jump_table(model).configuration(int(cdf.searchsorted(rng.random(), side="right")))
+
+
+def gillespie_step(cfg: Configuration, model: ModelSpec,
+                   rng: np.random.Generator) -> tuple[Configuration, float, int | None]:
+    """One exact jump from cfg's row of the jump table.
+
+    Returns the new configuration, the dwell time and the slot that moved:
+    -1 for the tracer, i for environment entity i.  A zero total rate is
+    absorbing: infinite dwell, configuration unchanged, slot None.
+    """
+    table = jump_table(model)
+    row = table.index(cfg)
+    total = float(table.total[row])
+    if total <= 0:
+        return cfg, math.inf, None
+    dwell = rng.standard_exponential() / total
+    entry = int(table.cdf[row].searchsorted(rng.random(), side="right"))
+    new_cfg = table.configuration(int(table.targets[row, entry]), cfg.t + dwell)
+    return new_cfg, dwell, entry // table.n_states - 1
+
+
+def simulate_trajectory(cfg: Configuration, model: ModelSpec, t_end: float,
+                        rng: np.random.Generator) -> Configuration:
+    """Run the jump process from cfg to t_end; the configuration held at t_end."""
+    while True:
+        new_cfg, _, slot = gillespie_step(cfg, model, rng)
+        if slot is None or new_cfg.t > t_end:
+            return Configuration(tracer=cfg.tracer, env=cfg.env, t=t_end)
+        cfg = new_cfg
 
 
 def _run_block(table: JumpTable, initial_cdf: np.ndarray, t: float, size: int,
@@ -294,19 +287,17 @@ def final_counts(profile: CorrelationProfile, model: ModelSpec, t: float, n_traj
                  seed: int, z: float = 1.0) -> np.ndarray:
     """How many of n_traj trajectories sit in each configuration at time t.
 
-    Indexed like the rows of jump_table(model).  The trajectories start
-    from D(0) and follow the table in lockstep blocks of BLOCK (the last
-    block holds the remainder).  Block k draws from stream k of
-    SeedSequence(seed).spawn(n_blocks), so a rerun is bit-identical.  A
+    Indexed like the rows of jump_table(model).  Blocks of BLOCK trajectories
+    (the last holds the remainder) run in lockstep; block k draws from
+    stream k of SeedSequence(seed).spawn(n_blocks), so a rerun is
+    bit-identical and memory is one block's arrays whatever n_traj.  A
     trajectory stops at the first dwell that passes t, or at an absorbing
-    configuration (total rate 0), where it stays.  Memory is one block's
-    arrays whatever n_traj.
+    configuration, where it stays.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     table = jump_table(model)
-    ensemble, _ = build_initial_state(profile, model, z)
-    initial_cdf = _initial_cdf(ensemble, model)
+    initial_cdf = _initial_cdf(profile, model, z)
     counts = np.zeros(len(table.total), dtype=np.int64)
     root = np.random.SeedSequence(seed)
     for start in range(0, n_traj, BLOCK):

@@ -168,7 +168,7 @@ def test_criterion_5b_duality_eps_sweep_slope():
     assert passed, (
         f"log-log slope {slope:.3f} < 2.5: the K=1 truncation of the "
         "state-functional series carries an order eps^2 correlation term; "
-        "see the repository notes for the full analysis"
+        "see the README section \"Known red acceptance check\" for the local slopes"
     )
 
 

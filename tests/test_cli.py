@@ -50,13 +50,22 @@ def run_cli(*args):
     return main(list(args))
 
 
+def read(path, mode="r"):
+    with open(path, mode) as fh:
+        return fh.read()
+
+
+def read_json(path):
+    return json.loads(read(path))
+
+
 def test_cluster_verify_passes_and_writes_tables(config_path, tmp_path):
     out = str(tmp_path / "out")
     code = run_cli("run", "--config", config_path, "--kind", "cluster-verify",
                    "--out", out)
     assert code == 0
     assert os.path.exists(os.path.join(out, "cluster_verify.csv"))
-    meta = json.load(open(os.path.join(out, "metadata.json")))
+    meta = read_json(os.path.join(out, "metadata.json"))
     assert all(check["pass"] for check in meta["checks"])
     assert meta["kind"] == "cluster-verify"
     assert "config_hash" in meta
@@ -67,7 +76,7 @@ def test_duality_sweep_passes(config_path, tmp_path):
     code = run_cli("run", "--config", config_path, "--kind", "duality-sweep",
                    "--out", out)
     assert code == 0
-    body = open(os.path.join(out, "duality.csv")).read()
+    body = read(os.path.join(out, "duality.csv"))
     assert body.splitlines()[0] == "t,observable_id,lhs,rhs,abs_residual,rel_residual,K,eps"
     assert os.path.exists(os.path.join(out, "mean_values.csv"))
 
@@ -92,7 +101,7 @@ def test_tolerance_failure_exits_2(config_path, tmp_path):
     code = run_cli("run", "--config", config_path, "--kind", "eps-convergence",
                    "--out", out)
     assert code == 2
-    meta = json.load(open(os.path.join(out, "metadata.json")))
+    meta = read_json(os.path.join(out, "metadata.json"))
     names = {c["name"]: c["pass"] for c in meta["checks"]}
     assert names["eps_sweep_smallest_residual"] is True
     assert names["eps_sweep_loglog_slope"] is False
@@ -104,8 +113,8 @@ def test_rerun_reproduces_csv_bodies(config_path, tmp_path):
                    "--out", out1) == 0
     assert run_cli("run", "--config", config_path, "--kind", "mc-vs-exact",
                    "--out", out2) == 0
-    body1 = open(os.path.join(out1, "mc_vs_exact.csv"), "rb").read()
-    body2 = open(os.path.join(out2, "mc_vs_exact.csv"), "rb").read()
+    body1 = read(os.path.join(out1, "mc_vs_exact.csv"), "rb")
+    body2 = read(os.path.join(out2, "mc_vs_exact.csv"), "rb")
     assert body1 == body2
 
 
@@ -114,8 +123,8 @@ def test_seed_override_changes_mc_results(config_path, tmp_path):
     run_cli("run", "--config", config_path, "--kind", "mc-vs-exact", "--out", out1)
     run_cli("run", "--config", config_path, "--kind", "mc-vs-exact", "--out", out2,
             "--seed", "7")
-    body1 = open(os.path.join(out1, "mc_vs_exact.csv")).read()
-    body2 = open(os.path.join(out2, "mc_vs_exact.csv")).read()
+    body1 = read(os.path.join(out1, "mc_vs_exact.csv"))
+    body2 = read(os.path.join(out2, "mc_vs_exact.csv"))
     assert body1 != body2
 
 
@@ -124,7 +133,7 @@ def test_fp_trajectory_and_report(config_path, tmp_path, capsys):
     code = run_cli("run", "--config", config_path, "--kind", "fp-trajectory",
                    "--out", out, "--t-max", "1.0")
     assert code == 0
-    header = open(os.path.join(out, "fp_trajectory.csv")).readline().strip()
+    header = read(os.path.join(out, "fp_trajectory.csv")).splitlines()[0]
     assert header == "t,species,micro_state,F_value,mass_drift"
     code = run_cli("report", out)
     assert code == 0
@@ -142,7 +151,7 @@ def test_json_output_format(config_path, tmp_path):
     code = run_cli("run", "--config", config_path, "--kind", "cluster-verify",
                    "--out", out, "--format", "json")
     assert code == 0
-    rows = json.load(open(os.path.join(out, "cluster_verify.json")))
+    rows = read_json(os.path.join(out, "cluster_verify.json"))
     assert rows and "residual" in rows[0]
 
 
@@ -151,7 +160,7 @@ def test_eps_override(config_path, tmp_path):
     code = run_cli("run", "--config", config_path, "--kind", "duality-sweep",
                    "--out", out, "--eps", "0.0")
     assert code == 0
-    body = open(os.path.join(out, "duality.csv")).read()
+    body = read(os.path.join(out, "duality.csv"))
     assert ",0.0" in body.splitlines()[1]
 
 
@@ -171,7 +180,7 @@ def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypa
     code = run_cli("run", "--config", config_path, "--kind", "fp-trajectory",
                    "--out", out, *args)
     assert code == 4
-    meta = json.load(open(os.path.join(out, "metadata.json")))
+    meta = read_json(os.path.join(out, "metadata.json"))
     (check,) = meta["checks"]
     assert check["name"] == "numerical_failure"
     assert check["pass"] is False
@@ -180,3 +189,15 @@ def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypa
     capsys.readouterr()
     assert run_cli("report", out) == 0
     assert f"error: {check['error']}" in capsys.readouterr().out
+
+
+def test_signed_initial_ensemble_exits_1_without_traceback(tmp_path, capsys):
+    # g = sigma:-1.5 makes D(0) negative in sector 1; the exact runs accept it, the oracle cannot
+    signed = tmp_path / "signed.ini"
+    signed.write_text(CONFIG.replace("g = sigma:0.2", "g = sigma:-1.5"))
+    code = run_cli("run", "--config", str(signed), "--kind", "mc-vs-exact",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: initial: D(0) sector 1 has negative mass")
+    assert "Traceback" not in err

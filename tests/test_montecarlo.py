@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from kinlab.hierarchy import additive_observable, evolve_full, mean_value_full
-from kinlab.model import CorrelationProfile, build_initial_state, tiny_model
+from kinlab.model import CorrelationProfile, ValidationError, build_initial_state, tiny_model
 from kinlab.montecarlo import (
     BLOCK,
     Configuration,
@@ -98,9 +98,9 @@ def test_all_rates_zero_is_absorbing():
     )
     rng = np.random.default_rng(3)
     cfg = Configuration(tracer=0, env=(1,))
-    new_cfg, dwell, chan = gillespie_step(cfg, zeroed, rng)
+    new_cfg, dwell, slot = gillespie_step(cfg, zeroed, rng)
     assert math.isinf(dwell)
-    assert chan is None
+    assert slot is None
     assert new_cfg.tracer == 0 and new_cfg.env == (1,)
 
 
@@ -144,8 +144,8 @@ def test_copy_kernel_interaction_copies_environment_state():
     total = 2000
     for _ in range(total):
         cfg = Configuration(tracer=0, env=(1,))
-        new_cfg, _, chan = gillespie_step(cfg, zero_free, rng)
-        assert chan.kind == "tracer-env"
+        new_cfg, _, slot = gillespie_step(cfg, zero_free, rng)
+        assert slot == -1   # rate_tracer = 0: only the interaction moves the tracer
         if new_cfg.tracer == 1:
             copies += 1
     assert copies == total  # copy kernel moves all mass onto the catalyst state
@@ -156,8 +156,7 @@ def test_entity_count_conserved_along_trajectory(tiny_full):
     profile = correlated_profile(tiny_full)
     cfg = sample_initial(profile, tiny_full, 1.0, rng)
     n0 = len(cfg.env)
-    record = []
-    out = simulate_trajectory(cfg, tiny_full, 3.0, rng, record=record)
+    out = simulate_trajectory(cfg, tiny_full, 3.0, rng)
     assert len(out.env) == n0
     assert out.t == 3.0
 
@@ -229,7 +228,7 @@ def test_distributional_exactness_total_variation():
     counts = {n: np.zeros((2,) * (n + 1)) for n in range(3)}
     for ss in streams:
         rng = np.random.Generator(np.random.PCG64(ss))
-        cfg = sample_initial(profile, model, 1.0, rng, ensemble=ensemble)
+        cfg = sample_initial(profile, model, 1.0, rng)
         cfg = simulate_trajectory(cfg, model, t, rng)
         counts[len(cfg.env)][(cfg.tracer,) + cfg.env] += 1
     for n in range(3):
@@ -375,3 +374,40 @@ def test_estimate_memory_flat_in_trajectory_count():
         assert est.n_samples == n_traj
     # one float per trajectory alone would be 8 MB at 10**6
     assert peaks[10**6] <= 2 * peaks[BLOCK], peaks
+
+
+def test_flat_index_round_trip():
+    model = random_model(0, n_points=3, n_max=3)
+    table = jump_table(model)
+    assert len(table.total) == 120
+    for index in range(len(table.total)):
+        cfg = table.configuration(index)
+        assert len(cfg.env) <= model.n_max
+        assert table.index(cfg) == index
+
+
+def test_initial_cdf_memo_follows_the_latest_profile():
+    obs = additive_observable(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
+
+    def model():
+        return tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=2)
+
+    shared = model()
+    a = correlated_profile(shared, gamma=0.3)
+    b = correlated_profile(shared, gamma=-0.3, env1=(0.2, 0.8))
+    for profile in (a, b, a):
+        got = estimate_means([obs], profile, shared, 0.5, 2000, seed=18)
+        assert got == estimate_means([obs], profile, model(), 0.5, 2000, seed=18)
+    assert estimate_means([obs], a, shared, 0.5, 2000, seed=18, z=0.5) == \
+        estimate_means([obs], a, model(), 0.5, 2000, seed=18, z=0.5)
+
+
+def test_signed_initial_ensemble_is_rejected():
+    model = tiny_model(eps=0.05, n_max=2, kernel_int="copy")
+    profile = correlated_profile(model, gamma=-1.5)
+    obs = additive_observable(np.array([1.0, 0.0]), np.zeros(2), 2)
+    message = r"D\(0\) sector 1 has negative mass .*\[initial\] g, tracer0 and env1"
+    with pytest.raises(ValidationError, match=message):
+        sample_initial(profile, model, 1.0, np.random.default_rng(19))
+    with pytest.raises(ValidationError, match=message):
+        estimate_means([obs], profile, model, 0.5, 100, seed=19)
