@@ -21,6 +21,7 @@ __all__ = [
     "MAX_ELEMENTS",
     "enumerate_partitions",
     "enumerate_dissections",
+    "cumulant_apply",
     "cumulant_matrix",
     "verify_cluster_expansion",
 ]
@@ -84,12 +85,16 @@ def _mobius(n_blocks: int) -> float:
     return (-1.0) ** (n_blocks - 1) * math.factorial(n_blocks - 1)
 
 
-def cumulant_matrix(model: ModelSpec, t: float, labels, s: int, direction: str) -> np.ndarray:
-    """Cumulant of semigroups for the given cluster labels, on the (1+s)-sector.
+def cumulant_apply(model: ModelSpec, t: float, labels, s: int, direction: str,
+                   x: np.ndarray | None) -> np.ndarray:
+    """Cumulant of semigroups for the given cluster labels, applied to x.
 
     labels: iterable of frozensets of slot axes (merged clusters and
-    singletons).  Returns sum over partitions P of the labels of
-    (-1)^(|P|-1) (|P|-1)! prod_blocks e^(t Lambda(union of block slots)).
+    singletons) on the (1+s)-sector.  Returns the sum over partitions P of
+    the labels of (-1)^(|P|-1) (|P|-1)! prod_blocks e^(t Lambda(union of
+    block slots)) x, each product evaluated right to left.  x is a flat
+    sector vector or a dim x m matrix of them; None stands for the identity,
+    which gives the cumulant matrix itself.
     """
     labels = [frozenset(lab) for lab in labels]
     seen: set = set()
@@ -99,14 +104,19 @@ def cumulant_matrix(model: ModelSpec, t: float, labels, s: int, direction: str) 
         seen |= lab
     ws = workspace_for(model)
     dim = model.n_states ** (s + 1)
-    total = np.zeros((dim, dim))
+    total = np.zeros((dim, dim) if x is None else np.shape(x))
     for blocks in enumerate_partitions(labels):
-        term = np.eye(dim)
-        for block in blocks:
-            selector = frozenset().union(*block)
-            term = term @ ws.semigroup(s, selector, t, direction)
+        term = x
+        for block in reversed(blocks):
+            semigroup = ws.semigroup(s, frozenset().union(*block), t, direction)
+            term = semigroup if term is None else semigroup @ term
         total += _mobius(len(blocks)) * term
     return total
+
+
+def cumulant_matrix(model: ModelSpec, t: float, labels, s: int, direction: str) -> np.ndarray:
+    """The cumulant of `cumulant_apply` as a matrix on the (1+s)-sector."""
+    return cumulant_apply(model, t, labels, s, direction, None)
 
 
 def verify_cluster_expansion(model: ModelSpec, t: float, s: int, n: int,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import cumulant_matrix
+from .combinatorics import cumulant_apply
 from .model import ModelSpec
 from .operators import TRACER, env_pair_term, interaction_term, workspace_for
 from .sectors import (
@@ -168,9 +168,8 @@ def dual_bbgky_solution(model: ModelSpec, initial: SequenceState, t: float, s: i
             kept = tuple(j for j in env if j not in removed)
             merged = frozenset({TRACER} | set(kept))
             labels = [merged] + [frozenset({j}) for j in removed]
-            op = cumulant_matrix(model, t, labels, s, "forward")
             vec = embed_with_slots(initial[s - n].data, s, kept).reshape(-1)
-            acc += (op @ vec).reshape(dim_shape)
+            acc += cumulant_apply(model, t, labels, s, "forward", vec).reshape(dim_shape)
     return SectorFunction(s, acc)
 
 
@@ -216,13 +215,11 @@ def additive_solution(model: ModelSpec, o_tracer: np.ndarray, o_env: np.ndarray,
     shape = (n,) * (s + 1)
     env = list(range(1, s + 1))
     labels = [frozenset({TRACER})] + [frozenset({j}) for j in env]
-    op = cumulant_matrix(model, t, labels, s, "forward")
     vec = embed_with_slots(np.asarray(o_tracer, dtype=float), s, ()).reshape(-1)
-    acc = (op @ vec).reshape(shape)
+    acc = cumulant_apply(model, t, labels, s, "forward", vec).reshape(shape)
     for j in env:
         rest = [frozenset({k}) for k in env if k != j]
         labels = [frozenset({TRACER, j})] + rest
-        op = cumulant_matrix(model, t, labels, s, "forward")
         vec = embed_env_vector(np.asarray(o_env, dtype=float), s, j).reshape(-1)
-        acc += (op @ vec).reshape(shape)
+        acc += cumulant_apply(model, t, labels, s, "forward", vec).reshape(shape)
     return SectorFunction(s, acc)

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import cumulant_matrix, enumerate_dissections
+from .combinatorics import cumulant_apply, cumulant_matrix, enumerate_dissections
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec
-from .operators import TRACER, LatestTimeMemo, one_slot_term, workspace_for
+from .operators import TRACER, LatestTimeMemo, workspace_for
 from .sectors import (
     SectorFunction,
     SequenceState,
@@ -226,20 +226,16 @@ class KineticEngine:
             model = self.model
             n_states = model.n_states
             labels = [frozenset({TRACER})] + [frozenset({j}) for j in range(1, n + 1)]
-            op = cumulant_matrix(model, t, labels, n, "dual")
             g = self.profile.g[n]
             env = self.profile.env_reduced[n]
-            dress = g.copy()
-            if n > 0:
-                dress = dress * env[np.newaxis, ...]
-            cols = []
-            for b in range(n_states):
-                basis = np.zeros(n_states)
-                basis[b] = 1.0
-                vec = dress * embed_with_slots(basis, n, ())
-                out = (op @ vec.reshape(-1)).reshape(vec.shape)
-                cols.append(integrate_env_slots(out, model.weights, 0))
-            return np.stack(cols, axis=1) / math.factorial(n)
+            dress = g * env[np.newaxis, ...] if n > 0 else g
+            # column b: dress times the basis vector e_b on the tracer slot
+            basis = np.eye(n_states).reshape((n_states,) + (1,) * n + (n_states,))
+            cols = (dress[..., np.newaxis] * basis).reshape(-1, n_states)
+            out = cumulant_apply(model, t, labels, n, "dual", cols)
+            # integrate the environment slots of every column at once
+            out = np.moveaxis(out.reshape((n_states,) * (n + 1) + (n_states,)), -1, 0)
+            return integrate_env_slots(out, model.weights, 1).T / math.factorial(n)
 
         return self._memo.get(t, ("series", n), build)
 
@@ -260,7 +256,10 @@ class KineticEngine:
 
     def free_env_marginal(self, t: float) -> np.ndarray:
         """One-entity environment distribution under its free evolution."""
-        return _expm_one_env(self, t) @ self.profile.env_reduced[1]
+        n = self.model.n_states
+        # e^(t Lambda({1})) on the (1+1)-sector is I (x) the one-entity semigroup
+        mat = self.ws.semigroup(1, frozenset({1}), t, "dual").reshape(n, n, n, n)
+        return mat[0, :, 0, :] @ self.profile.env_reduced[1]
 
     # -- state functionals ---------------------------------------------------
 
@@ -304,12 +303,11 @@ class KineticEngine:
         sector = s + n
         cluster = frozenset(range(0, s + 1))
         labels = [cluster] + [frozenset({j}) for j in range(s + 1, sector + 1)]
-        op = cumulant_matrix(model, t, labels, sector, "dual")
         g = self.profile.g[sector]
         env = self.profile.env_reduced[sector]
         dress = g * env[np.newaxis, ...] if sector > 0 else g
         vec = dress * embed_with_slots(np.asarray(f0, dtype=float), sector, ())
-        out = (op @ vec.reshape(-1)).reshape(vec.shape)
+        out = cumulant_apply(model, t, labels, sector, "dual", vec.reshape(-1)).reshape(vec.shape)
         return integrate_env_slots(out, model.weights, s) / math.factorial(n)
 
     # -- kinetic equation ------------------------------------------------------
@@ -345,7 +343,7 @@ class KineticEngine:
         def build():
             model = self.model
             n = model.n_states
-            out = one_slot_term(model, 0, TRACER, "dual")
+            out = self.ws.generator(0, frozenset({TRACER}), "dual").matrix
             if order >= 1 and model.eps > 0:
                 cols = []
                 for b in range(n):
@@ -436,17 +434,6 @@ def _compositions_up_to(total: int, k: int):
     for first in range(1, total - k + 2):
         for rest in _compositions_up_to(total - first, k - 1):
             yield (first,) + rest
-
-
-def _expm_one_env(engine: KineticEngine, t: float) -> np.ndarray:
-    """Free one-entity environment dual semigroup on the single-slot space."""
-    ws = engine.ws
-    # reuse the workspace cache through a one-slot sector: slot 1 of arity 1,
-    # then restrict to the environment block
-    mat = ws.semigroup(1, frozenset({1}), t, "dual")
-    n = engine.model.n_states
-    # slot-1 action of I (x) v: extract v from rows with tracer index 0
-    return mat.reshape(n, n, n, n)[0, :, 0, :]
 
 
 def engine_for(model: ModelSpec, profile: CorrelationProfile) -> KineticEngine:

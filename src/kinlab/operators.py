@@ -91,61 +91,71 @@ def _pair_dual(rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) -> np.
     return blk.reshape(n * n, n * n)
 
 
-def _embed_one_slot(block: np.ndarray, slot: int, n_slots: int, n: int) -> np.ndarray:
-    mats = [np.eye(n)] * n_slots
-    mats[slot] = block
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _embedding(slots: tuple, n_slots: int, n: int):
+    """The map that places a block acting on `slots` into an n_slots sector.
+
+    Entry (i, j) of the embedded operator is block[r(i), r(j)], where r(i)
+    reads the digits of i on `slots` in that order, if i and j agree on every
+    other slot; all other entries are 0.  The index arrays are built here,
+    once, so a cached map gathers without recomputing them.
+    """
+    slots = list(slots)
+    dim, m = n ** n_slots, n ** len(slots)
+    strides = (n ** np.arange(n_slots - 1, -1, -1))[slots]
+    digits = np.indices((n,) * n_slots).reshape(n_slots, dim)[slots]
+    block_digits = np.indices((n,) * len(slots)).reshape(len(slots), m)
+    rows = np.arange(dim)
+    # column j of row i: i with its digits on `slots` replaced by those of c
+    cols = (rows - strides @ digits)[:, None] + (strides @ block_digits)[None, :]
+    target = (rows[:, None] * dim + cols).reshape(-1)
+    source = (np.ravel_multi_index(tuple(digits), (n,) * len(slots))[:, None] * m
+              + np.arange(m)).reshape(-1)
+
+    def embed(block: np.ndarray) -> np.ndarray:
+        out = np.zeros(dim * dim)
+        out[target] = block.reshape(-1)[source]
+        return out.reshape(dim, dim)
+
+    return embed
 
 
-def _embed_pair(block: np.ndarray, slot_a: int, slot_b: int, n_slots: int, n: int) -> np.ndarray:
-    """Embed a pair-space operator acting on (slot_a, slot_b), identity elsewhere."""
-    dim = n ** n_slots
-    rest = [k for k in range(n_slots) if k not in (slot_a, slot_b)]
-    perm = [slot_a, slot_b] + rest
-    big = np.kron(block, np.eye(n ** (n_slots - 2)))
-    big = big.reshape((n,) * (2 * n_slots))
-    inv = np.argsort(perm)
-    axes = list(inv) + [n_slots + k for k in inv]
-    big = big.transpose(axes)
-    return big.reshape(dim, dim)
+def _check_selector(s: int, selector: frozenset) -> None:
+    if not selector:
+        raise ValueError("selector must be nonempty")
+    if any(slot < 0 or slot > s for slot in selector):
+        raise ValueError(f"selector {sorted(selector)} out of range for arity {s}")
 
 
 def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
     if direction not in ("forward", "dual"):
         raise ValueError(f"unknown direction {direction!r}")
-    if not selector:
-        raise ValueError("selector must be nonempty")
-    if any(slot < 0 or slot > s for slot in selector):
-        raise ValueError(f"selector {sorted(selector)} out of range for arity {s}")
+    _check_selector(s, selector)
     n = model.n_states
     w = model.weights
     one = _one_slot_forward if direction == "forward" else _one_slot_dual
     pair = _pair_forward if direction == "forward" else _pair_dual
-    n_slots = s + 1
-    dim = n ** n_slots
+    embedding = workspace_for(model).embedding
+    dim = n ** (s + 1)
     env_slots = sorted(slot for slot in selector if slot != TRACER)
 
     system = np.zeros((dim, dim))
     environment = np.zeros((dim, dim))
     interaction = np.zeros((dim, dim))
     if TRACER in selector:
-        system += _embed_one_slot(one(model.rate_tracer, model.kernel_tracer, w), 0, n_slots, n)
+        system += embedding(s, (TRACER,))(one(model.rate_tracer, model.kernel_tracer, w))
     env_block = one(model.rate_env1, model.kernel_env1, w)
     for i in env_slots:
-        environment += _embed_one_slot(env_block, i, n_slots, n)
+        environment += embedding(s, (i,))(env_block)
     if len(env_slots) >= 2:
         pair_block = pair(model.rate_env2, model.kernel_env2, w)
         for i in env_slots:
             for j in env_slots:
                 if i != j:
-                    environment += _embed_pair(pair_block, i, j, n_slots, n)
+                    environment += embedding(s, (i, j))(pair_block)
     if TRACER in selector and env_slots:
         int_block = pair(model.rate_int, model.kernel_int, w)
         for i in env_slots:
-            interaction += model.eps * _embed_pair(int_block, 0, i, n_slots, n)
+            interaction += model.eps * embedding(s, (TRACER, i))(int_block)
     return GeneratorMatrix(s=s, direction=direction, selector=frozenset(selector),
                            matrix=system + environment + interaction)
 
@@ -176,11 +186,21 @@ class LatestTimeMemo:
 
 
 class Workspace:
-    """Per-model generators (all kept) and semigroups (latest |t| only)."""
+    """Per-model generators and embeddings (all kept), semigroups (latest |t| only).
+
+    Environment slots are exchangeable and Lambda(X) is the identity off X,
+    so e^(t Lambda(X)) on sector s is the semigroup of the canonical
+    selector X* = ({tracer} if tracer in X) | {1..k}, k = |X - {tracer}|, on
+    sector k, placed on the slots [tracer] + sorted(X - {tracer}).  Only
+    (sector k, X*) pairs call expm; every other pair gathers from them.  For
+    a tracer-free X the tracer axis of X* is an identity axis, so one rule
+    covers both cases.
+    """
 
     def __init__(self, model: ModelSpec):
         self.model = model
         self._generators: dict = {}
+        self._embeddings: dict = {}
         self._semigroups = LatestTimeMemo()
 
     def generator(self, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
@@ -191,9 +211,24 @@ class Workspace:
 
     def semigroup(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
         selector = frozenset(selector)
-        return self._semigroups.get(
-            t, (s, selector, direction),
-            lambda: expm(t * self.generator(s, selector, direction).matrix))
+        return self._semigroups.get(t, (s, selector, direction),
+                                    lambda: self._semigroup(s, selector, t, direction))
+
+    def _semigroup(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
+        env = sorted(selector - {TRACER})
+        k = len(env)
+        canonical = frozenset(range(0 if TRACER in selector else 1, k + 1))
+        if s == k and selector == canonical:
+            return expm(t * self.generator(s, selector, direction).matrix)
+        _check_selector(s, selector)
+        return self.embedding(s, (TRACER, *env))(self.semigroup(k, canonical, t, direction))
+
+    def embedding(self, s: int, slots: tuple):
+        """The map that places a block acting on `slots` into sector s."""
+        key = (s, slots)
+        if key not in self._embeddings:
+            self._embeddings[key] = _embedding(slots, s + 1, self.model.n_states)
+        return self._embeddings[key]
 
 
 def workspace_for(model: ModelSpec) -> Workspace:
@@ -222,7 +257,9 @@ def build_dual_generator(model: ModelSpec, s: int, selector) -> GeneratorMatrix:
 def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction) -> SectorFunction:
     """Apply e^(t * generator) to a sector function.
 
-    Negative t is allowed (semigroup inverses are needed by the scattering
+    This is a dense expm of the generator itself, outside the workspace's
+    compact-slot provider, so tests use it as an independent oracle for
+    `Workspace.semigroup`.  Negative t is allowed (semigroup inverses are needed by the scattering
     cumulants); no positivity holds for it.
     """
     if f.data.ndim != gen.s + 1:
@@ -235,29 +272,26 @@ def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction) -> SectorFunction:
 
 def interaction_term(model: ModelSpec, s: int, env_slot: int, direction: str) -> np.ndarray:
     """Single tracer-environment collision operator on the (1+s)-sector, without eps."""
-    n = model.n_states
     pair = _pair_forward if direction == "forward" else _pair_dual
     block = pair(model.rate_int, model.kernel_int, model.weights)
-    return _embed_pair(block, 0, env_slot, s + 1, n)
+    return workspace_for(model).embedding(s, (TRACER, env_slot))(block)
 
 
 def env_pair_term(model: ModelSpec, s: int, jumper: int, catalyst: int, direction: str) -> np.ndarray:
     """Single environment pair collision operator on the (1+s)-sector."""
-    n = model.n_states
     pair = _pair_forward if direction == "forward" else _pair_dual
     block = pair(model.rate_env2, model.kernel_env2, model.weights)
-    return _embed_pair(block, jumper, catalyst, s + 1, n)
+    return workspace_for(model).embedding(s, (jumper, catalyst))(block)
 
 
 def one_slot_term(model: ModelSpec, s: int, slot: int, direction: str) -> np.ndarray:
     """Free one-entity collision operator (tracer or environment) on the (1+s)-sector."""
-    n = model.n_states
     one = _one_slot_forward if direction == "forward" else _one_slot_dual
     if slot == TRACER:
         block = one(model.rate_tracer, model.kernel_tracer, model.weights)
     else:
         block = one(model.rate_env1, model.kernel_env1, model.weights)
-    return _embed_one_slot(block, slot, s + 1, n)
+    return workspace_for(model).embedding(s, (slot,))(block)
 
 
 def compose_semigroup_on_partition(model: ModelSpec, s: int, parts, t: float,

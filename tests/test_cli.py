@@ -107,6 +107,19 @@ def test_tolerance_failure_exits_2(config_path, tmp_path):
     assert names["eps_sweep_loglog_slope"] is False
 
 
+def test_eps_convergence_at_machine_zero_exits_0(tmp_path):
+    # tiny.ini has chaos data, so duality holds exactly and every residual
+    # is round-off; the slope check takes its machine-zero branch
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "tiny.ini")
+    out = str(tmp_path / "out")
+    code = run_cli("run", "--config", config, "--kind", "eps-convergence", "--out", out)
+    assert code == 0
+    checks = {c["name"]: c for c in read_json(os.path.join(out, "metadata.json"))["checks"]}
+    assert checks["eps_sweep_smallest_residual"]["value"] <= 1e-13
+    assert checks["eps_sweep_loglog_slope"]["value"] == float("inf")
+    assert checks["eps_sweep_loglog_slope"]["pass"] is True
+
+
 def test_rerun_reproduces_csv_bodies(config_path, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run_cli("run", "--config", config_path, "--kind", "mc-vs-exact",

@@ -6,6 +6,7 @@ import pytest
 
 from kinlab.combinatorics import (
     MAX_ELEMENTS,
+    cumulant_apply,
     cumulant_matrix,
     enumerate_dissections,
     enumerate_partitions,
@@ -188,3 +189,20 @@ def test_mixed_cumulants_vanish_under_full_factorization():
         got = cumulant_matrix(model, 0.9, [{TRACER}] + [{j} for j in singles], len(singles),
                               "forward")
         assert np.max(np.abs(got)) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", ["forward", "dual"])
+@pytest.mark.parametrize("labels", [
+    [{TRACER}, {1}, {2}, {3}],
+    [{TRACER, 1}, {2}, {3}],
+    [{1}, {2, 3}],
+], ids=["singletons", "tracer-cluster", "tracer-free"])
+def test_cumulant_apply_matches_cumulant_matrix(direction, labels):
+    model = random_model(29, n_points=3, n_max=3)
+    rng = np.random.default_rng(37)
+    labels = [frozenset(lab) for lab in labels]
+    for t in (0.4, -0.4):
+        mat = cumulant_matrix(model, t, labels, 3, direction)
+        for x in (rng.standard_normal(mat.shape[0]), rng.standard_normal((mat.shape[0], 3))):
+            np.testing.assert_allclose(cumulant_apply(model, t, labels, 3, direction, x),
+                                       mat @ x, rtol=0, atol=1e-13)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinlab.operators
 from kinlab.combinatorics import cumulant_matrix
 from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
@@ -301,6 +302,35 @@ def test_kinetic_stack_on_weighted_grid():
     endpoint_err = np.max(np.abs(traj[-1].values
                                  - eng2.reduced_distribution(1.0, 1).values))
     assert endpoint_err <= 1e-5
+
+
+def test_rk4_calls_expm_at_most_twice_per_sector_per_new_time(monkeypatch):
+    # the fp-kinetic shape: 3 states, n_max 3, K 3; only canonical selectors
+    # (tracer plus 0..n_max environment slots, or 1..n_max without the
+    # tracer) reach expm, once per new |t|
+    model = random_model(43, n_points=3, eps=0.1, n_max=3)
+    w = model.weights
+    rng = np.random.default_rng(43)
+    tracer0 = rng.uniform(0.2, 1.0, 3)
+    tracer0 /= tracer0 @ w
+    env1 = rng.uniform(0.2, 1.0, 3)
+    env1 /= env1 @ w
+    sigma = np.array([1.0, -1.0, 1.0])
+    profile = CorrelationProfile.factorized(
+        model, tracer0, env1, g_pair=1.0 + 0.2 * np.multiply.outer(sigma, sigma), n_max=3)
+    expm = kinlab.operators.expm
+    dims = []
+
+    def counted(a):
+        dims.append(a.shape[0])
+        return expm(a)
+
+    monkeypatch.setattr(kinlab.operators, "expm", counted)
+    traj = engine_for(model, profile).integrate_fp(tracer0, 0.02, 0.01, 3)
+    # |t| = 0, 0.005, 0.01, 0.015, 0.02
+    assert len(traj) == 3
+    assert 0 < len(dims) <= 5 * 2 * (model.n_max + 1)
+    assert max(dims) == 3 ** (model.n_max + 1)
 
 
 def test_series_terms_decay_geometrically_for_small_data():

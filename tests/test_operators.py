@@ -1,10 +1,13 @@
 import gc
 import weakref
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from kinlab.model import tiny_model
 from kinlab.operators import (
@@ -214,6 +217,49 @@ def test_semigroup_kept_for_latest_abs_time_only(tiny):
     ws.semigroup(1, sel, 0.7, "dual")
     gc.collect()
     assert ref() is None
+    # a gathered semigroup and the canonical one it was gathered from
+    gathered = ws.semigroup(2, frozenset({TRACER}), 0.7, "dual")
+    source = ws.semigroup(0, frozenset({TRACER}), 0.7, "dual")
+    assert not np.shares_memory(gathered, source)
+    refs = [weakref.ref(gathered), weakref.ref(source)]
+    del gathered, source
+    ws.semigroup(1, sel, 0.9, "dual")
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def _selectors(s):
+    slots = range(s + 1)
+    return [frozenset(c) for k in range(1, s + 2) for c in combinations(slots, k)]
+
+
+@pytest.mark.parametrize("model, top", [
+    (random_model(2, n_points=3), 3),
+    (random_model(6, n_points=2), 4),
+    (tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy"), 4),
+], ids=["random-3-state", "random-2-state", "tiny-copy-kernel"])
+def test_semigroup_provider_matches_dense_expm(model, top):
+    # every selector, both directions, t and -t, against a dense expm of
+    # the generator on the whole sector (what `evolve` computes)
+    assert np.min(model.rate_env2) > 0
+    ws = workspace_for(model)
+    build = {"forward": build_forward_generator, "dual": build_dual_generator}
+    for s in range(top + 1):
+        for sel in _selectors(s):
+            for direction in ("forward", "dual"):
+                gen = build[direction](model, s, sel).matrix
+                for t in (0.6, -0.6):
+                    np.testing.assert_allclose(ws.semigroup(s, sel, t, direction),
+                                               expm(t * gen), rtol=0, atol=1e-13)
+
+
+def test_semigroup_rejects_bad_selector(tiny):
+    ws = workspace_for(tiny)
+    for sel in (frozenset(), frozenset({TRACER, 3}), frozenset({-1})):
+        with pytest.raises(ValueError):
+            ws.semigroup(2, sel, 0.5, "dual")
+    with pytest.raises(ValueError, match="direction"):
+        ws.semigroup(2, frozenset({1}), 0.5, "sideways")
 
 
 def test_workspace_released_with_its_model():
