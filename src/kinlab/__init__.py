@@ -23,7 +23,6 @@ from .operators import (
     TRACER,
     build_dual_generator,
     build_forward_generator,
-    compose_semigroup_on_partition,
     evolve,
 )
 from .combinatorics import (

@@ -31,7 +31,6 @@ from .hierarchy import (
     mean_value_full,
     mean_value_reduced,
     reduce_observable,
-    reduce_state,
 )
 from .kinetic import StepRejected, engine_for
 from .model import (
@@ -42,6 +41,7 @@ from .model import (
     load_model_file,
 )
 from .montecarlo import estimate_means
+from .operators import TRACER
 from .sectors import SequenceState
 
 EXPERIMENT_KINDS = (
@@ -133,7 +133,7 @@ def run_duality_sweep(config: ExperimentConfig):
     rows = []
     mean_rows = []
     worst = 0.0
-    ensemble, _ = build_initial_state(profile, model, config.activity)
+    ensemble, reduced_state = build_initial_state(profile, model, config.activity)
     for t in t_grid:
         for name, o_t, o_e in _observable_set(config):
             b0 = additive_reduced_initial(o_t, o_e, model.n_max)
@@ -148,9 +148,6 @@ def run_duality_sweep(config: ExperimentConfig):
             reduced_obs = SequenceState(
                 tuple(reduce_observable(obs_t, s) for s in range(model.n_max + 1)),
                 kind="observable")
-            reduced_state = SequenceState(
-                tuple(reduce_state(ensemble, model, s) for s in range(model.n_max + 1)),
-                kind="distribution")
             mean_red = mean_value_reduced(reduced_obs, reduced_state, model)
             mean_rows.append((t, name, _fmt(mean_full), _fmt(mean_red),
                               _fmt(abs(mean_full - mean_red))))
@@ -222,11 +219,8 @@ def run_fp_trajectory(config: ExperimentConfig):
     ]
     if model.eps == 0.0:
         ws_err = 0.0
-        from .operators import one_slot_term, TRACER
-        from scipy.linalg import expm
-        gen = one_slot_term(model, 0, TRACER, "dual")
         for td in kept:
-            analytic = expm(td.t * gen) @ profile.tracer0
+            analytic = eng.ws.semigroup(0, frozenset({TRACER}), td.t, "dual") @ profile.tracer0
             ws_err = max(ws_err, float(np.max(np.abs(td.values - analytic))))
         checks.append({"name": "fp_free_relaxation", "value": ws_err,
                        "tolerance": 1e-8, "pass": ws_err <= 1e-8})

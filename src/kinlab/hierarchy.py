@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import cumulant_apply
 from .model import ModelSpec
-from .operators import TRACER, env_pair_term, interaction_term, workspace_for
+from .operators import TRACER, workspace_for
 from .sectors import (
     SectorFunction,
     SequenceState,
@@ -191,12 +191,12 @@ def dual_bbgky_rhs(model: ModelSpec, current: SequenceState, s: int) -> SectorFu
         for j in env:
             kept = tuple(i for i in env if i != j)
             lifted = embed_with_slots(lower, s, kept).reshape(-1)
-            acc += model.eps * (interaction_term(model, s, j, "forward") @ lifted).reshape(shape)
+            acc += model.eps * (ws.term(s, "int", (TRACER, j), "forward") @ lifted).reshape(shape)
         for j1 in env:
             for j2 in env:
                 if j1 == j2:
                     continue
-                pair_op = env_pair_term(model, s, j1, j2, "forward")
+                pair_op = ws.term(s, "env2", (j1, j2), "forward")
                 for i in (j1, j2):
                     kept = tuple(k for k in env if k != i)
                     lifted = embed_with_slots(lower, s, kept).reshape(-1)

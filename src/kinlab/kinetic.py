@@ -21,6 +21,7 @@ binds it to a (model, profile) pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -35,7 +36,6 @@ from .operators import TRACER, LatestTimeMemo, workspace_for
 from .sectors import (
     SectorFunction,
     SequenceState,
-    embed_env_vector,
     embed_with_slots,
     integrate_env_slots,
     sector_inner,
@@ -145,8 +145,7 @@ class KineticEngine:
         def build():
             labels = [cluster] + [frozenset({j}) for j in singles]
             op = cumulant_matrix(self.model, t, labels, sector, "dual")
-            gfac = self._g_embedded(cluster, singles, sector)
-            op = op @ np.diag(gfac.reshape(-1))
+            op = op * self._g_embedded(cluster, singles, sector).reshape(-1)
             for slot in sorted(cluster | set(singles)):
                 op = op @ self._one_slot_inverse(sector, slot, t)
             return op
@@ -206,38 +205,43 @@ class KineticEngine:
         for blocks in enumerate_dissections(z_slots, max_parts=r_j):
             if len(blocks) > len(host_pool):
                 continue
+            coeff = 1.0 / math.factorial(len(blocks))
+            for block in blocks:
+                coeff /= math.factorial(len(block))
             for assign in itertools.permutations(host_pool, len(blocks)):
-                prod = np.eye(dim)
-                coeff = 1.0 / math.factorial(len(blocks))
-                for host, block in zip(assign, blocks):
-                    coeff /= math.factorial(len(block))
-                    prod = prod @ self.scattering_op(t, (host,), tuple(block), sector)
+                prod = functools.reduce(np.matmul, (
+                    self.scattering_op(t, (host,), tuple(block), sector)
+                    for host, block in zip(assign, blocks)))
                 acc += coeff * prod
                 found = True
         return acc if found else None
 
-    # -- tracer series -------------------------------------------------------
+    # -- correlated terms and the tracer series ------------------------------
+
+    def _correlated_term(self, t: float, s: int, n: int, f0: np.ndarray) -> np.ndarray:
+        """Order-n term of the correlated (1+s)-sector series on tracer columns.
+
+        Each column of f0 (n_states x m) sits on the tracer slot of the
+        (1+s+n)-sector, dressed with g * F_env; one dual cumulant of the
+        cluster {tracer, 1..s} and the singles s+1..s+n acts on all columns,
+        and the environment slots above s are integrated out.  Returns shape
+        (n_states,)*(s+1) + (m,).
+        """
+        model = self.model
+        sector = s + n
+        labels = [frozenset(range(s + 1))] + [frozenset({j}) for j in range(s + 1, sector + 1)]
+        g = self.profile.g[sector]
+        dress = g * self.profile.env_reduced[sector][np.newaxis, ...] if sector > 0 else g
+        n_states, m = f0.shape
+        cols = dress[..., np.newaxis] * f0.reshape((n_states,) + (1,) * sector + (m,))
+        out = cumulant_apply(model, t, labels, sector, "dual", cols.reshape(-1, m))
+        return _integrate_env(out.reshape(cols.shape), model.weights, s) / math.factorial(n)
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
         self._check_cap(n, "series term")
-
-        def build():
-            model = self.model
-            n_states = model.n_states
-            labels = [frozenset({TRACER})] + [frozenset({j}) for j in range(1, n + 1)]
-            g = self.profile.g[n]
-            env = self.profile.env_reduced[n]
-            dress = g * env[np.newaxis, ...] if n > 0 else g
-            # column b: dress times the basis vector e_b on the tracer slot
-            basis = np.eye(n_states).reshape((n_states,) + (1,) * n + (n_states,))
-            cols = (dress[..., np.newaxis] * basis).reshape(-1, n_states)
-            out = cumulant_apply(model, t, labels, n, "dual", cols)
-            # integrate the environment slots of every column at once
-            out = np.moveaxis(out.reshape((n_states,) * (n + 1) + (n_states,)), -1, 0)
-            return integrate_env_slots(out, model.weights, 1).T / math.factorial(n)
-
-        return self._memo.get(t, ("series", n), build)
+        return self._memo.get(t, ("series", n),
+                              lambda: self._correlated_term(t, 0, n, np.eye(self.model.n_states)))
 
     def series_matrix(self, t: float, order: int) -> np.ndarray:
         """F0 -> F_(1+0)(t) at the given truncation order."""
@@ -263,52 +267,45 @@ class KineticEngine:
 
     # -- state functionals ---------------------------------------------------
 
-    def functional_input(self, F1: np.ndarray, t: float, sector: int) -> np.ndarray:
-        """Tracer distribution times free-evolved one-entity environment factors."""
-        out = embed_with_slots(np.asarray(F1, dtype=float), sector, ())
+    def functional_input(self, F: np.ndarray, t: float, sector: int) -> np.ndarray:
+        """Tracer columns times free-evolved one-entity environment factors.
+
+        F is n_states x m; the factors multiply in slot by slot, and the
+        result has shape (n_states,)*(sector+1) + (m,).
+        """
+        n_states, m = F.shape
+        out = F.reshape((n_states,) + (1,) * sector + (m,))
         f_t = self.free_env_marginal(t)
         for i in range(1, sector + 1):
-            out = out * embed_env_vector(f_t, sector, i)
+            # trailing unit axes align f_t with slot i
+            out = out * f_t.reshape((n_states,) + (1,) * (sector + 1 - i))
         return out
 
     def state_functional(self, t: float, F1: np.ndarray, s: int, order: int,
                          route: str = "scattering", recon_order: int | None = None) -> SectorFunction:
         """Correlated (1+s)-sector functional of the tracer distribution."""
+        cols = np.asarray(F1, dtype=float)[:, np.newaxis]
+        data = self._state_functionals(t, cols, s, order, route, recon_order)
+        return SectorFunction(s, data[..., 0])
+
+    def _state_functionals(self, t: float, F: np.ndarray, s: int, order: int, route: str,
+                           recon_order: int | None = None) -> np.ndarray:
+        """`state_functional` of each tracer column of F; shape (n_states,)*(s+1) + (m,)."""
         if s < 1:
             raise ValueError("state functionals start at the (1+1)-sector")
         self._check_cap(s + order, "functional")
-        model = self.model
-        shape = (model.n_states,) * (s + 1)
         if route == "resolvent":
             k_rec = order if recon_order is None else recon_order
-            f0 = np.linalg.solve(self.series_matrix(t, k_rec), np.asarray(F1, dtype=float))
-            acc = np.zeros(shape)
-            for n in range(order + 1):
-                acc += self._correlated_sector_term(t, s, n, f0)
-            return SectorFunction(s, acc)
+            f0 = np.linalg.solve(self.series_matrix(t, k_rec), F)
+            return sum(self._correlated_term(t, s, n, f0) for n in range(order + 1))
         if route != "scattering":
             raise ValueError(f"unknown route {route!r}")
-        acc = np.zeros(shape)
+        acc = 0.0
         for n in range(order + 1):
-            sector = s + n
-            op = self.generating_op(t, s, n)
-            vec = self.functional_input(F1, t, sector)
-            out = (op @ vec.reshape(-1)).reshape((model.n_states,) * (sector + 1))
-            acc += integrate_env_slots(out, model.weights, s) / math.factorial(n)
-        return SectorFunction(s, acc)
-
-    def _correlated_sector_term(self, t: float, s: int, n: int, f0: np.ndarray) -> np.ndarray:
-        """Order-n term of the correlated (1+s)-sector series from initial data f0."""
-        model = self.model
-        sector = s + n
-        cluster = frozenset(range(0, s + 1))
-        labels = [cluster] + [frozenset({j}) for j in range(s + 1, sector + 1)]
-        g = self.profile.g[sector]
-        env = self.profile.env_reduced[sector]
-        dress = g * env[np.newaxis, ...] if sector > 0 else g
-        vec = dress * embed_with_slots(np.asarray(f0, dtype=float), sector, ())
-        out = cumulant_apply(model, t, labels, sector, "dual", vec.reshape(-1)).reshape(vec.shape)
-        return integrate_env_slots(out, model.weights, s) / math.factorial(n)
+            cols = self.functional_input(F, t, s + n)
+            out = (self.generating_op(t, s, n) @ cols.reshape(-1, F.shape[1])).reshape(cols.shape)
+            acc = acc + _integrate_env(out, self.model.weights, s) / math.factorial(n)
+        return acc
 
     # -- kinetic equation ------------------------------------------------------
 
@@ -345,15 +342,9 @@ class KineticEngine:
             n = model.n_states
             out = self.ws.generator(0, frozenset({TRACER}), "dual").matrix
             if order >= 1 and model.eps > 0:
-                cols = []
-                for b in range(n):
-                    basis = np.zeros(n)
-                    basis[b] = 1.0
-                    f2 = self.state_functional(t, basis, 1, order - 1, route=route,
-                                               recon_order=order)
-                    cols.append(f2.flat)
-                F2_matrix = np.stack(cols, axis=1)
-                out = out + model.eps * self.collision_matrix(F2_matrix)
+                # the pair functional of every tracer basis vector at once
+                f2 = self._state_functionals(t, np.eye(n), 1, order - 1, route, recon_order=order)
+                out = out + model.eps * self.collision_matrix(f2.reshape(n * n, n))
             return out
 
         return self._memo.get(t, ("rhs", order, route), build)
@@ -424,6 +415,11 @@ class KineticEngine:
                                         recon_order=n_max)
             rhs += sector_inner(initial_reduced[s].data, f_s.data, w) / math.factorial(s)
         return DualityReport(t=t, order=order, eps=model.eps, lhs=lhs, rhs=rhs)
+
+
+def _integrate_env(cols: np.ndarray, weights: np.ndarray, s: int) -> np.ndarray:
+    """`integrate_env_slots` down to 1+s slots of a block whose last axis holds columns."""
+    return np.moveaxis(integrate_env_slots(np.moveaxis(cols, -1, 0), weights, s + 1), 0, -1)
 
 
 def _compositions_up_to(total: int, k: int):

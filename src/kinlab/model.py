@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,14 +212,7 @@ class ModelSpec:
         return h.hexdigest()[:16]
 
     def with_eps(self, eps: float) -> "ModelSpec":
-        return ModelSpec(
-            m=self.m, grid=self.grid, eps=eps,
-            rate_tracer=self.rate_tracer, rate_env1=self.rate_env1,
-            rate_env2=self.rate_env2, rate_int=self.rate_int,
-            kernel_tracer=self.kernel_tracer, kernel_env1=self.kernel_env1,
-            kernel_env2=self.kernel_env2, kernel_int=self.kernel_int,
-            n_max=self.n_max,
-        )
+        return replace(self, eps=eps)
 
 
 @dataclass(frozen=True)

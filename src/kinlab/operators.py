@@ -26,11 +26,7 @@ __all__ = [
     "build_forward_generator",
     "build_dual_generator",
     "evolve",
-    "compose_semigroup_on_partition",
     "full_selector",
-    "interaction_term",
-    "env_pair_term",
-    "one_slot_term",
 ]
 
 # slot 0 is the tracer; selectors are frozensets of slot axes
@@ -126,36 +122,35 @@ def _check_selector(s: int, selector: frozenset) -> None:
         raise ValueError(f"selector {sorted(selector)} out of range for arity {s}")
 
 
+# one-slot and pair block functions per direction; a pair's first slot jumps
+_BLOCK_FUNCTIONS = {
+    "forward": (_one_slot_forward, _pair_forward),
+    "dual": (_one_slot_dual, _pair_dual),
+}
+
+
 def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
     if direction not in ("forward", "dual"):
         raise ValueError(f"unknown direction {direction!r}")
     _check_selector(s, selector)
-    n = model.n_states
-    w = model.weights
-    one = _one_slot_forward if direction == "forward" else _one_slot_dual
-    pair = _pair_forward if direction == "forward" else _pair_dual
-    embedding = workspace_for(model).embedding
-    dim = n ** (s + 1)
+    term = workspace_for(model).term
+    dim = model.n_states ** (s + 1)
     env_slots = sorted(slot for slot in selector if slot != TRACER)
 
     system = np.zeros((dim, dim))
     environment = np.zeros((dim, dim))
     interaction = np.zeros((dim, dim))
     if TRACER in selector:
-        system += embedding(s, (TRACER,))(one(model.rate_tracer, model.kernel_tracer, w))
-    env_block = one(model.rate_env1, model.kernel_env1, w)
+        system += term(s, "tracer", (TRACER,), direction)
     for i in env_slots:
-        environment += embedding(s, (i,))(env_block)
-    if len(env_slots) >= 2:
-        pair_block = pair(model.rate_env2, model.kernel_env2, w)
-        for i in env_slots:
-            for j in env_slots:
-                if i != j:
-                    environment += embedding(s, (i, j))(pair_block)
+        environment += term(s, "env1", (i,), direction)
+    for i in env_slots:
+        for j in env_slots:
+            if i != j:
+                environment += term(s, "env2", (i, j), direction)
     if TRACER in selector and env_slots:
-        int_block = pair(model.rate_int, model.kernel_int, w)
         for i in env_slots:
-            interaction += model.eps * embedding(s, (TRACER, i))(int_block)
+            interaction += model.eps * term(s, "int", (TRACER, i), direction)
     return GeneratorMatrix(s=s, direction=direction, selector=frozenset(selector),
                            matrix=system + environment + interaction)
 
@@ -186,7 +181,7 @@ class LatestTimeMemo:
 
 
 class Workspace:
-    """Per-model generators and embeddings (all kept), semigroups (latest |t| only).
+    """Per-model blocks, generators and embeddings (all kept), semigroups (latest |t| only).
 
     Environment slots are exchangeable and Lambda(X) is the identity off X,
     so e^(t Lambda(X)) on sector s is the semigroup of the canonical
@@ -199,6 +194,7 @@ class Workspace:
 
     def __init__(self, model: ModelSpec):
         self.model = model
+        self._blocks: dict = {}
         self._generators: dict = {}
         self._embeddings: dict = {}
         self._semigroups = LatestTimeMemo()
@@ -222,6 +218,21 @@ class Workspace:
             return expm(t * self.generator(s, selector, direction).matrix)
         _check_selector(s, selector)
         return self.embedding(s, (TRACER, *env))(self.semigroup(k, canonical, t, direction))
+
+    def term(self, s: int, kind: str, slots: tuple, direction: str) -> np.ndarray:
+        """The collision block of `kind` placed on `slots` of sector s, without eps.
+
+        'tracer' and 'env1' are one-slot blocks; 'env2' and 'int' are pair
+        blocks whose first slot jumps.  Each block is built once.
+        """
+        key = (kind, direction)
+        if key not in self._blocks:
+            one, pair = _BLOCK_FUNCTIONS[direction]
+            build = pair if kind in ("env2", "int") else one
+            model = self.model
+            self._blocks[key] = build(getattr(model, f"rate_{kind}"),
+                                      getattr(model, f"kernel_{kind}"), model.weights)
+        return self.embedding(s, tuple(slots))(self._blocks[key])
 
     def embedding(self, s: int, slots: tuple):
         """The map that places a block acting on `slots` into sector s."""
@@ -268,43 +279,3 @@ def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction) -> SectorFunction:
         raise ValueError("non-finite input")
     out = expm(t * gen.matrix) @ f.flat
     return SectorFunction(f.s, out.reshape(f.data.shape))
-
-
-def interaction_term(model: ModelSpec, s: int, env_slot: int, direction: str) -> np.ndarray:
-    """Single tracer-environment collision operator on the (1+s)-sector, without eps."""
-    pair = _pair_forward if direction == "forward" else _pair_dual
-    block = pair(model.rate_int, model.kernel_int, model.weights)
-    return workspace_for(model).embedding(s, (TRACER, env_slot))(block)
-
-
-def env_pair_term(model: ModelSpec, s: int, jumper: int, catalyst: int, direction: str) -> np.ndarray:
-    """Single environment pair collision operator on the (1+s)-sector."""
-    pair = _pair_forward if direction == "forward" else _pair_dual
-    block = pair(model.rate_env2, model.kernel_env2, model.weights)
-    return workspace_for(model).embedding(s, (jumper, catalyst))(block)
-
-
-def one_slot_term(model: ModelSpec, s: int, slot: int, direction: str) -> np.ndarray:
-    """Free one-entity collision operator (tracer or environment) on the (1+s)-sector."""
-    one = _one_slot_forward if direction == "forward" else _one_slot_dual
-    if slot == TRACER:
-        block = one(model.rate_tracer, model.kernel_tracer, model.weights)
-    else:
-        block = one(model.rate_env1, model.kernel_env1, model.weights)
-    return workspace_for(model).embedding(s, (slot,))(block)
-
-
-def compose_semigroup_on_partition(model: ModelSpec, s: int, parts, t: float,
-                                   f: SectorFunction, direction: str) -> SectorFunction:
-    """Apply the commuting product prod_i e^(t Lambda(X_i)) for disjoint parts."""
-    seen: set = set()
-    for part in parts:
-        part = frozenset(part)
-        if part & seen:
-            raise ValueError("overlapping parts")
-        seen |= part
-    ws = workspace_for(model)
-    vec = f.flat.copy()
-    for part in parts:
-        vec = ws.semigroup(s, frozenset(part), t, direction) @ vec
-    return SectorFunction(f.s, vec.reshape(f.data.shape))

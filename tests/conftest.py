@@ -1,3 +1,10 @@
+import os
+
+# One OpenBLAS thread, as kinbench runs: unpinned OpenBLAS makes small
+# products and expm calls slow on some runs of a shared 2-core host.  It only
+# takes effect before numpy loads, and pytest imports this file first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -12,7 +12,7 @@ from kinlab.combinatorics import cumulant_matrix
 from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
 from kinlab.model import CorrelationProfile, tiny_model
-from kinlab.operators import TRACER, full_selector, one_slot_term, workspace_for
+from kinlab.operators import TRACER, full_selector, workspace_for
 from kinlab.sectors import embed_with_slots
 
 from conftest import correlated_profile, random_model
@@ -193,10 +193,44 @@ def test_duality_two_ary_environment_observable():
     assert abs(rep.lhs) > 1e-3  # non-trivial comparison
 
 
+@pytest.mark.parametrize("route", ["resolvent", "scattering"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_state_functional_columns_match_single_columns(route, s):
+    # environment pairs on, three tracer columns, s + K at the profile's cap
+    model = random_model(37, n_points=3, eps=0.2, n_max=2)
+    rng = np.random.default_rng(37)
+    tracer0, env1 = rng.uniform(0.2, 1.0, (2, 3))
+    tracer0 /= tracer0 @ model.weights
+    env1 /= env1 @ model.weights
+    profile = correlated_profile(model, tracer0=tracer0, env1=env1)
+    eng = engine_for(model, profile)
+    F = rng.uniform(0.1, 1.0, (3, 3))
+    t, order = 0.45, 3 - s
+    cols = eng._state_functionals(t, F, s, order, route)
+    assert cols.shape == (3,) * (s + 1) + (3,)
+    for j in range(3):
+        single = eng.state_functional(t, F[:, j], s, order, route=route)
+        np.testing.assert_allclose(cols[..., j], single.data, rtol=0, atol=1e-15)
+
+
+def test_rhs_matrix_solves_once_per_build(coupled_engine, monkeypatch):
+    solve = np.linalg.solve
+    rhs_shapes = []
+
+    def counted(a, b):
+        rhs_shapes.append(np.shape(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    coupled_engine.rhs_matrix(0.3, 2)
+    coupled_engine.rhs_matrix(0.3, 2)
+    assert rhs_shapes == [(2, 2)]
+
+
 def test_fp_rhs_free_part_only_without_coupling(free_engine):
     f = np.array([0.7, 0.3])
     got = free_engine.fp_rhs(f, 0.4, 2)
-    gen = one_slot_term(free_engine.model, 0, TRACER, "dual")
+    gen = free_engine.ws.generator(0, {TRACER}, "dual").matrix
     np.testing.assert_allclose(got, gen @ f, atol=1e-13)
     uniform = np.array([0.5, 0.5])
     np.testing.assert_allclose(free_engine.fp_rhs(uniform, 0.4, 2), 0.0, atol=1e-13)

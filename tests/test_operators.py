@@ -14,7 +14,6 @@ from kinlab.operators import (
     TRACER,
     build_dual_generator,
     build_forward_generator,
-    compose_semigroup_on_partition,
     evolve,
     full_selector,
     workspace_for,
@@ -157,37 +156,13 @@ def test_dual_positivity(t):
         assert np.min(mat @ f) >= -1e-12
 
 
-def test_compose_partition_single_block_equals_evolve(tiny_coupled):
-    f = SectorFunction(1, np.arange(4.0).reshape(2, 2))
-    gen = build_forward_generator(tiny_coupled, 1, full_selector(1))
-    via_partition = compose_semigroup_on_partition(
-        tiny_coupled, 1, [full_selector(1)], 0.7, f, "forward")
-    np.testing.assert_allclose(via_partition.data, evolve(gen, 0.7, f).data, atol=1e-13)
-
-
-def test_compose_partition_skips_interaction_across_parts(tiny_coupled):
-    # parts {tracer}, {1}: no interaction applied even though eps > 0
-    f = SectorFunction(1, np.arange(4.0).reshape(2, 2))
-    out = compose_semigroup_on_partition(tiny_coupled, 1, [{TRACER}, {1}], 0.7, f, "forward")
-    ws = workspace_for(tiny_coupled)
-    manual = ws.semigroup(1, frozenset({TRACER}), 0.7, "forward") @ \
-        ws.semigroup(1, frozenset({1}), 0.7, "forward") @ f.flat
-    np.testing.assert_allclose(out.flat, manual, atol=1e-13)
-
-
 def test_compose_partition_disjoint_blocks_commute():
     model = random_model(19, n_points=2, n_max=4)
+    ws = workspace_for(model)
     rng = np.random.default_rng(23)
-    f = SectorFunction(4, rng.uniform(0, 1, (2,) * 5))
-    a = compose_semigroup_on_partition(model, 4, [{1, 2}, {3, 4}], 0.6, f, "dual")
-    b = compose_semigroup_on_partition(model, 4, [{3, 4}, {1, 2}], 0.6, f, "dual")
-    np.testing.assert_allclose(a.data, b.data, atol=1e-13)
-
-
-def test_compose_partition_rejects_overlap(tiny):
-    f = SectorFunction(1, np.ones((2, 2)))
-    with pytest.raises(ValueError, match="overlap"):
-        compose_semigroup_on_partition(tiny, 1, [{TRACER, 1}, {1}], 0.5, f, "forward")
+    f = SectorFunction(4, rng.uniform(0, 1, (2,) * 5)).flat
+    left, right = ws.semigroup(4, {1, 2}, 0.6, "dual"), ws.semigroup(4, {3, 4}, 0.6, "dual")
+    np.testing.assert_allclose(right @ (left @ f), left @ (right @ f), atol=1e-13)
 
 
 @pytest.mark.parametrize("s", [0, 1])
