@@ -9,6 +9,7 @@ block's semigroup is the full generator restricted to those slots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -137,9 +138,7 @@ def verify_cluster_expansion(model: ModelSpec, t: float, s: int, n: int,
     dim = model.n_states ** (s + 1)
     reconstruction = np.zeros((dim, dim))
     for blocks in enumerate_partitions(labels):
-        term = np.eye(dim)
-        for block in blocks:
-            term = term @ cumulant_matrix(model, t, block, s, direction)
-        reconstruction += term
+        reconstruction += functools.reduce(np.matmul, (
+            cumulant_matrix(model, t, block, s, direction) for block in blocks))
     direct = ws.semigroup(s, frozenset(range(s + 1)), t, direction)
     return float(np.max(np.abs(reconstruction - direct)))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .combinatorics import cumulant_apply, cumulant_matrix, enumerate_dissections
 from .hierarchy import dual_bbgky_solution
-from .model import CorrelationProfile, ModelSpec
+from .model import CorrelationProfile, ModelSpec, ValidationError
 from .operators import TRACER, LatestTimeMemo, workspace_for
 from .sectors import (
     SectorFunction,
@@ -310,24 +310,16 @@ class KineticEngine:
     # -- kinetic equation ------------------------------------------------------
 
     def collision_matrix(self, F2_matrix: np.ndarray) -> np.ndarray:
-        """Explicit gain/loss collision integral as a matrix on the tracer.
+        """Collision integral as a matrix on the tracer.
 
-        F2_matrix maps a tracer vector to the flattened pair sector; the
-        returned matrix is the composition with the integrated interaction
-        operator, so its columns all carry zero total mass.
+        The dual interaction block on the pair sector, its environment slot
+        integrated against the weights, applied to F2_matrix, which maps a
+        tracer vector to the flattened pair sector; the columns of the
+        result all carry zero total mass.
         """
-        model = self.model
-        n = model.n_states
-        w = model.weights
-        a = model.rate_int
-        A = model.kernel_int
-        # coll[u] = sum_u1 w1 ( sum_v w_v a(v,u1) A(u;v,u1) F2(v,u1) - a(u,u1) F2(u,u1) )
-        gain = np.einsum("z,v,vz,uvz->uvz", w, w, a, A)
-        loss_diag = a * w[np.newaxis, :]
-        coll = gain.reshape(n, n * n).copy()
-        for u in range(n):
-            coll[u, u * n:(u + 1) * n] -= loss_diag[u]
-        return coll @ F2_matrix
+        n = self.model.n_states
+        block = self.ws.term(1, "int", (TRACER, 1), "dual").reshape(n, n, n * n)
+        return _integrate_env(block, self.model.weights, 0) @ F2_matrix
 
     def rhs_matrix(self, t: float, order: int, route: str = "resolvent") -> np.ndarray:
         """Kinetic right-hand side as a matrix on the tracer distribution.
@@ -359,12 +351,15 @@ class KineticEngine:
         The non-Markovian right-hand side depends on absolute time through
         the cumulant operators, so stage operators are rebuilt per step; the
         memo keeps the latest stage time, which the next stage or step reuses.
-        A step with mass drift beyond 1e-6 raises StepRejected.
+        A step with mass drift beyond 1e-6 raises StepRejected.  dt must divide
+        t_max to a relative 1e-9, so the trajectory ends at t_max.
         """
         if dt <= 0:
             raise ValueError("dt must be > 0")
         w = self.model.weights
         steps = int(round(t_max / dt))
+        if abs(steps * dt - t_max) > 1e-9 * abs(t_max):
+            raise ValidationError(f"dt: {dt!r} does not divide t_max {t_max!r}")
         f = np.asarray(f0, dtype=float).copy()
         out = [TracerDistribution(values=f.copy(), t=0.0, mass_drift=0.0)]
         t = 0.0

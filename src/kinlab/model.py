@@ -321,6 +321,8 @@ class ExperimentConfig:
             raise ValidationError("series_order: must be >= 0")
         if self.mc_trajectories < 0:
             raise ValidationError("mc_trajectories: must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed: must be >= 0")
         if self.series_order > self.model.n_max:
             raise ValidationError("series_order: must not exceed n_max")
         if not self.activity > 0:

@@ -3,9 +3,11 @@
 One jump law, two drivers.  The law is Gillespie's direct method (Gillespie
 1977) held as a table, as uniformization (Jensen 1953) views a finite chain:
 `jump_table` lists once per model, for every configuration of every sector
-n = 0..n_max, the rate of each one-entity jump, built from the event
-channels (`enumerate_channels`) and their kernel rows.  Self-jumps stay in,
-so a row's total is the configuration's total channel rate.  A
+n = 0..n_max, the rate of each one-entity jump.  Each process contributes
+its rate times its weighted kernel row to the slot that jumps; the table
+reads the model's rate and kernel arrays directly, one slot (or ordered
+slot pair) at a time for all configurations of a sector.  Self-jumps stay
+in, so a row's total is the configuration's total jump rate.  A
 configuration waits an exponential dwell at that total, then jumps to a
 target drawn from the row CDF; total 0 is absorbing.  Entity count never
 changes: the configuration, environment size included, is drawn once from
@@ -29,12 +31,10 @@ from .sectors import SequenceState
 __all__ = [
     "BLOCK",
     "Configuration",
-    "EventChannel",
     "Estimate",
     "JumpTable",
     "jump_table",
     "sample_initial",
-    "enumerate_channels",
     "gillespie_step",
     "simulate_trajectory",
     "evaluate_observable",
@@ -55,46 +55,10 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class EventChannel:
-    kind: str               # tracer-jump | env-single | env-pair | tracer-env
-    participants: tuple     # slot indices into (tracer, env...), tracer = -1
-    rate: float
-
-
-@dataclass(frozen=True)
 class Estimate:
     mean: float
     stderr: float
     n_samples: int
-
-
-def enumerate_channels(cfg: Configuration, model: ModelSpec) -> list:
-    """All event channels of the current configuration with their rates."""
-    chans = [EventChannel("tracer-jump", (-1,), float(model.rate_tracer[cfg.tracer]))]
-    for i, e in enumerate(cfg.env):
-        chans.append(EventChannel("env-single", (i,), float(model.rate_env1[e])))
-    for i, ei in enumerate(cfg.env):
-        for j, ej in enumerate(cfg.env):
-            if i != j:
-                chans.append(EventChannel("env-pair", (i, j), float(model.rate_env2[ei, ej])))
-    for i, e in enumerate(cfg.env):
-        chans.append(EventChannel("tracer-env", (-1, i),
-                                  float(model.eps * model.rate_int[cfg.tracer, e])))
-    return chans
-
-
-def _kernel_row(model: ModelSpec, kind: str, cfg: Configuration, participants) -> np.ndarray:
-    w = model.weights
-    if kind == "tracer-jump":
-        return w * model.kernel_tracer[:, cfg.tracer]
-    if kind == "env-single":
-        return w * model.kernel_env1[:, cfg.env[participants[0]]]
-    if kind == "env-pair":
-        i, j = participants
-        return w * model.kernel_env2[:, cfg.env[i], cfg.env[j]]
-    if kind == "tracer-env":
-        return w * model.kernel_int[:, cfg.tracer, cfg.env[participants[1]]]
-    raise ValueError(kind)
 
 
 def evaluate_observable(obs: SequenceState, cfg: Configuration) -> float:
@@ -114,7 +78,8 @@ class JumpTable:
     per slot and target state, the target configuration and the jump rate;
     sector n fills (1 + n) * d entries and pads with rate-0 self targets.
     The off-diagonal rates are the forward generator's entries, and
-    rates[c].sum() is c's total channel rate; a row with total 0 is
+    rates[c].sum() is c's total jump rate, the sum of its processes' rates
+    since kernel rows carry unit weighted mass; a row with total 0 is
     absorbing and never sampled.  Entry j of a row moves slot j // d - 1
     (-1 the tracer, i environment entity i) to state j % d.
     """
@@ -144,31 +109,33 @@ class JumpTable:
 
 
 def _sector_jumps(model: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Targets (flat in sector n) and rates, shape (d**(1+n), 1+n, d)."""
-    d = model.n_states
-    shape = (d,) * (n + 1)
+    """Targets (flat in sector n) and rates, shape (d**(1+n), 1+n, d).
+
+    Each slot's rates are summed per part in the generator's order, system +
+    environment + interaction with env1 before the env2 pairs in j order, so
+    the entries agree with it bit for bit.
+    """
+    d, w = model.n_states, model.weights
     dim = d ** (n + 1)
+    digits = np.indices((d,) * (n + 1)).reshape(n + 1, dim)
+    tracer, env = digits[0], digits[1:]
+
+    def law(rate, columns):
+        # rate (dim,) times the weighted kernel row of each configuration
+        return rate[:, None] * (w * columns.T)
+
     rates = np.zeros((dim, n + 1, d))
-    for flat, idx in enumerate(np.ndindex(*shape)):
-        cfg = Configuration(tracer=idx[0], env=idx[1:])
-        # summed per part and in channel order, as the generator sums
-        # system + environment + interaction, so the entries agree bit for bit
-        system, interaction = np.zeros(d), np.zeros(d)
-        for chan in enumerate_channels(cfg, model):
-            row = _kernel_row(model, chan.kind, cfg, chan.participants)
-            if chan.kind == "tracer-jump":
-                system += chan.rate * row
-            elif chan.kind == "tracer-env":
-                # eps * (a * row): the generator's grouping of chan.rate * row
-                e = cfg.env[chan.participants[1]]
-                interaction += model.eps * (model.rate_int[cfg.tracer, e] * row)
-            else:
-                rates[flat, 1 + chan.participants[0]] += chan.rate * row
-        rates[flat, 0] = system + interaction
-    digits = np.indices(shape).reshape(n + 1, dim).T
+    interaction = np.zeros((dim, d))
+    for i, e in enumerate(env, start=1):
+        rates[:, i] = law(model.rate_env1[e], model.kernel_env1[:, e])
+        for j, c in enumerate(env, start=1):
+            if j != i:
+                rates[:, i] += law(model.rate_env2[e, c], model.kernel_env2[:, e, c])
+        interaction += model.eps * law(model.rate_int[tracer, e], model.kernel_int[:, tracer, e])
+    rates[:, 0] = law(model.rate_tracer[tracer], model.kernel_tracer[:, tracer]) + interaction
     strides = d ** np.arange(n, -1, -1)
     targets = (np.arange(dim)[:, None, None]
-               + (np.arange(d)[None, None, :] - digits[:, :, None]) * strides[None, :, None])
+               + (np.arange(d)[None, None, :] - digits.T[:, :, None]) * strides[None, :, None])
     return targets, rates
 
 

@@ -63,27 +63,16 @@ def _one_slot_dual(rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) ->
     return gain - np.diag(rate)
 
 
-def _pair_forward(rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _pair(one_slot, rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Two-slot block: first slot jumps, second is the catalyst.
 
-    Returns a matrix on the pair space, row/col index = (jumper, catalyst).
+    The one-slot block of rate a[:, c] and kernel A[:, :, c] on each catalyst
+    state c; row/col index = (jumper, catalyst).
     """
     n = rate.shape[0]
     blk = np.zeros((n, n, n, n))
     for c in range(n):
-        a_c = rate[:, c]
-        gain = a_c[:, None] * (kernel[:, :, c].T * weights[None, :])
-        blk[:, c, :, c] = gain - np.diag(a_c)
-    return blk.reshape(n * n, n * n)
-
-
-def _pair_dual(rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    n = rate.shape[0]
-    blk = np.zeros((n, n, n, n))
-    for c in range(n):
-        a_c = rate[:, c]
-        gain = kernel[:, :, c] * (a_c * weights)[None, :]
-        blk[:, c, :, c] = gain - np.diag(a_c)
+        blk[:, c, :, c] = one_slot(rate[:, c], kernel[:, :, c], weights)
     return blk.reshape(n * n, n * n)
 
 
@@ -122,11 +111,7 @@ def _check_selector(s: int, selector: frozenset) -> None:
         raise ValueError(f"selector {sorted(selector)} out of range for arity {s}")
 
 
-# one-slot and pair block functions per direction; a pair's first slot jumps
-_BLOCK_FUNCTIONS = {
-    "forward": (_one_slot_forward, _pair_forward),
-    "dual": (_one_slot_dual, _pair_dual),
-}
+_ONE_SLOT = {"forward": _one_slot_forward, "dual": _one_slot_dual}
 
 
 def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
@@ -227,11 +212,11 @@ class Workspace:
         """
         key = (kind, direction)
         if key not in self._blocks:
-            one, pair = _BLOCK_FUNCTIONS[direction]
-            build = pair if kind in ("env2", "int") else one
             model = self.model
-            self._blocks[key] = build(getattr(model, f"rate_{kind}"),
-                                      getattr(model, f"kernel_{kind}"), model.weights)
+            one_slot = _ONE_SLOT[direction]
+            law = (getattr(model, f"rate_{kind}"), getattr(model, f"kernel_{kind}"), model.weights)
+            self._blocks[key] = (_pair(one_slot, *law) if kind in ("env2", "int")
+                                 else one_slot(*law))
         return self.embedding(s, tuple(slots))(self._blocks[key])
 
     def embedding(self, s: int, slots: tuple):

@@ -40,10 +40,10 @@ def report(name, value, tolerance, passed, direction="<="):
     return passed
 
 
-def duality_fixture(eps):
+def duality_fixture(eps, gamma=0.2):
     """Two-state coupled model with free environment and correlated data."""
     model = tiny_model(eps=eps, rate_env2=0.0, kernel_int="copy", n_max=2)
-    return model, correlated_profile(model, gamma=0.2,
+    return model, correlated_profile(model, gamma=gamma,
                                      tracer0=(0.7, 0.3), env1=(0.65, 0.35))
 
 
@@ -170,6 +170,43 @@ def test_criterion_5b_duality_eps_sweep_slope():
         "state-functional series carries an order eps^2 correlation term; "
         "see the README section \"Known red acceptance check\" for the local slopes"
     )
+
+
+def test_eps_order_ledger_of_5b():
+    """Why 5b is red: on its fixture the residual contracts as eps^(K+1).
+
+    The signed residual lhs - rhs, eps halved from 0.2 to 0.00625.  The local
+    log-log slopes rise to K + 1, so K = 1 gives eps^2, not eps^2.5, and
+    residual / eps^2 converges (its Richardson estimate is about 1.363e-4).
+    For chaos data (g = 1) the duality holds to round-off at every eps and K.
+    """
+    eps = 0.2 / 2.0 ** np.arange(6)
+    b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 2)
+    ledger = {}
+    for gamma in (0.2, 0.0):
+        for order in (0, 1):
+            reps = [engine_for(*duality_fixture(e, gamma)).duality_check(b0, 0.25, order)
+                    for e in eps]
+            ledger[gamma, order] = np.array([rep.lhs - rep.rhs for rep in reps])
+    for order in (0, 1):
+        residual = ledger[0.2, order]
+        assert np.all(residual > 0)
+        slopes = np.diff(np.log(residual)) / np.diff(np.log(eps))
+        print(f"K={order} lhs - rhs {np.array2string(residual, precision=4)} "
+              f"local slopes {np.array2string(slopes, precision=3)}")
+        assert np.all(np.diff(slopes) > 0)
+        assert report(f"5b ledger K={order} |local slope - {order + 1}| at eps {eps[-1]:g}",
+                      abs(slopes[-1] - (order + 1)), 0.01, abs(slopes[-1] - (order + 1)) <= 0.01)
+    ratio = ledger[0.2, 1] / eps ** 2
+    richardson = 2 * ratio[1:] - ratio[:-1]
+    print("K=1 residual / eps^2", " ".join(f"{r:.5g}" for r in ratio),
+          f"Richardson {richardson[-1]:.5g}")
+    steps = np.abs(np.diff(ratio))
+    assert np.all(steps[1:] < steps[:-1])
+    assert abs(ratio[-1] - richardson[-1]) <= 0.01 * richardson[-1]
+    assert abs(richardson[-1] - richardson[-2]) <= 1e-3 * richardson[-1]
+    chaos = max(float(np.max(np.abs(ledger[0.0, order]))) for order in (0, 1))
+    assert report("5b ledger chaos-data residual", chaos, 1e-15, chaos <= 1e-15)
 
 
 def test_criterion_6_kinetic_equation_identity():

@@ -214,3 +214,22 @@ def test_signed_initial_ensemble_exits_1_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: initial: D(0) sector 1 has negative mass")
     assert "Traceback" not in err
+
+
+def test_negative_seed_exits_1_without_traceback(config_path, tmp_path, capsys):
+    code = run_cli("run", "--config", config_path, "--kind", "mc-vs-exact",
+                   "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed")
+    assert "Traceback" not in err
+
+
+def test_fp_step_that_does_not_divide_t_max_exits_1(config_path, tmp_path, capsys):
+    # t_max 0.5: a 0.3 step would end the trajectory at t = 0.6
+    code = run_cli("run", "--config", config_path, "--kind", "fp-trajectory",
+                   "--dt", "0.3", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt")
+    assert "Traceback" not in err

@@ -11,7 +11,7 @@ import kinlab.operators
 from kinlab.combinatorics import cumulant_matrix
 from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
-from kinlab.model import CorrelationProfile, tiny_model
+from kinlab.model import CorrelationProfile, ValidationError, tiny_model
 from kinlab.operators import TRACER, full_selector, workspace_for
 from kinlab.sectors import embed_with_slots
 
@@ -295,6 +295,32 @@ def test_integrate_fp_rejects_bad_step():
                                             np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         engine_for(model, profile).integrate_fp(np.array([0.75, 0.25]), 1.0, -0.1, 0)
+
+
+def test_integrate_fp_rejects_step_that_does_not_divide_t_max():
+    model = tiny_model(eps=0.0, n_max=2)
+    profile = CorrelationProfile.factorized(model, np.array([0.75, 0.25]),
+                                            np.array([0.5, 0.5]))
+    eng = engine_for(model, profile)
+    # 0.5 / 0.3 rounds to 2 steps, which would end the trajectory at t = 0.6
+    with pytest.raises(ValidationError, match="dt"):
+        eng.integrate_fp(np.array([0.75, 0.25]), 0.5, 0.3, 0)
+    assert eng.integrate_fp(np.array([0.75, 0.25]), 0.5, 0.1, 0)[-1].t == pytest.approx(0.5)
+
+
+def test_collision_matrix_is_the_gain_loss_integral():
+    model = random_model(7, n_points=3, n_max=2)
+    n, w = model.n_states, model.weights
+    uniform = np.ones(n) / w.sum()
+    eng = engine_for(model, CorrelationProfile.factorized(model, uniform, uniform))
+    a, A = model.rate_int, model.kernel_int
+    # coll[u, (v, z)] = w_z (w_v a(v, z) A(u; v, z) - delta_uv a(u, z))
+    reference = np.einsum("z,v,vz,uvz->uvz", w, w, a, A).reshape(n, n * n)
+    for u in range(n):
+        reference[u, u * n:(u + 1) * n] -= a[u] * w
+    coll = eng.collision_matrix(np.eye(n * n))
+    np.testing.assert_allclose(coll, reference, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w @ coll, 0.0, atol=1e-15)
 
 
 def test_kinetic_stack_on_weighted_grid():

@@ -10,7 +10,6 @@ from kinlab.model import CorrelationProfile, ValidationError, build_initial_stat
 from kinlab.montecarlo import (
     BLOCK,
     Configuration,
-    enumerate_channels,
     estimate_mean,
     estimate_means,
     evaluate_observable,
@@ -116,17 +115,19 @@ def test_holding_time_matches_rate():
     assert abs(dwells.mean() - 1.0) <= 3 * stderr
 
 
-def test_channel_enumeration_counts_and_rates(tiny_full):
-    cfg = Configuration(tracer=0, env=(1, 0))
-    chans = enumerate_channels(cfg, tiny_full)
-    kinds = [c.kind for c in chans]
-    assert kinds.count("tracer-jump") == 1
-    assert kinds.count("env-single") == 2
-    assert kinds.count("env-pair") == 2     # ordered pairs
-    assert kinds.count("tracer-env") == 2
-    for c in chans:
-        if c.kind == "tracer-env":
-            assert c.rate == pytest.approx(tiny_full.eps * 1.0)
+def test_jump_table_row_total_counts_every_process(tiny_full):
+    m = tiny_full
+    table = jump_table(m)
+    row = table.index(Configuration(tracer=0, env=(1, 0)))
+    d = m.n_states
+    interaction = m.eps * (m.rate_int[0, 1] + m.rate_int[0, 0])
+    assert interaction == pytest.approx(2 * m.eps)       # tiny_full's unit interaction rates
+    # the tracer slot: its own jumps and one interaction per environment entity
+    assert table.rates[row, :d].sum() == pytest.approx(m.rate_tracer[0] + interaction, rel=1e-12)
+    total = (m.rate_tracer[0] + m.rate_env1[1] + m.rate_env1[0]     # tracer, two env1
+             + m.rate_env2[1, 0] + m.rate_env2[0, 1]                # two ordered env2
+             + interaction)
+    assert table.total[row] == pytest.approx(total, rel=1e-12)
 
 
 def test_copy_kernel_interaction_copies_environment_state():
@@ -300,7 +301,8 @@ def _zero_rates(model, **rates):
     random_model(1, n_points=3, n_max=3),
 ], ids=["tiny-copy", "random3-0", "random3-1"])
 def test_jump_table_matches_generator_and_channels(model):
-    """Built from the channels alone, the table is the generator's off-diagonal part."""
+    """Built from the rate and kernel arrays alone, the table is the generator's
+    off-diagonal part, and each row's total is the sum of its processes' rates."""
     table = jump_table(model)
     width = table.rates.shape[1]
     for n in range(model.n_max + 1):
@@ -311,10 +313,12 @@ def test_jump_table_matches_generator_and_channels(model):
         gen = build_forward_generator(model, n, full_selector(n)).matrix
         off = ~np.eye(hi - lo, dtype=bool)
         assert np.max(np.abs(dense[off] - gen[off])) == 0.0
-        for flat, idx in enumerate(np.ndindex(*(model.n_states,) * (n + 1))):
-            chans = enumerate_channels(Configuration(tracer=idx[0], env=idx[1:]), model)
-            assert table.rates[lo + flat].sum() == pytest.approx(sum(c.rate for c in chans),
-                                                                 rel=1e-12)
+        for flat, (u, *env) in enumerate(np.ndindex(*(model.n_states,) * (n + 1))):
+            total = (model.rate_tracer[u] + sum(model.rate_env1[e] for e in env)
+                     + sum(model.rate_env2[e, c] for i, e in enumerate(env)
+                           for j, c in enumerate(env) if i != j)
+                     + model.eps * sum(model.rate_int[u, e] for e in env))
+            assert table.rates[lo + flat].sum() == pytest.approx(total, rel=1e-12)
 
 
 def test_estimate_all_rates_zero_is_initial_mean():
