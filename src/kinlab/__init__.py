@@ -14,6 +14,7 @@ from .model import (
     builtin_kernel,
     load_model,
     load_model_file,
+    reduce_state,
     tiny_model,
     validate_kernel,
 )
@@ -31,7 +32,6 @@ from .combinatorics import (
     verify_cluster_expansion,
 )
 from .hierarchy import (
-    ObservableSeq,
     additive_observable,
     additive_reduced_initial,
     additive_solution,
@@ -41,7 +41,6 @@ from .hierarchy import (
     mean_value_full,
     mean_value_reduced,
     reduce_observable,
-    reduce_state,
 )
 from .kinetic import (
     DualityReport,

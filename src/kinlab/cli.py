@@ -110,7 +110,7 @@ def run_cluster_verify(config: ExperimentConfig):
     rows = []
     checks = []
     worst = 0.0
-    pairs = [(s, n) for s in range(0, 3) for n in range(0, s + 1) if s + n <= 4]
+    pairs = [(s, n) for s in range(0, 3) for n in range(0, s + 1)]
     for t in (0.1, 0.5, 1.0):
         for s, n in pairs:
             res = verify_cluster_expansion(model, t, s, n)

@@ -126,11 +126,11 @@ def verify_cluster_expansion(model: ModelSpec, t: float, s: int, n: int,
 
     The cluster expansion rebuilds e^(t Lambda) on the (tracer, 1..s)-sector
     from cumulants of the label set ({tracer, Y minus X}, X) with |X| = n.
+    Domain: n <= s, and the 1 + n labels within the partition enumerator's
+    MAX_ELEMENTS.
     """
     if n > s:
         raise ValueError("n cannot exceed s")
-    if s + n > 4:
-        raise ValueError("cap exceeded: desk-scale reconstruction stops at s + n = 4")
     singles = list(range(s - n + 1, s + 1))
     merged = frozenset({TRACER} | set(range(1, s - n + 1)))
     labels = [merged] + [frozenset({j}) for j in singles]

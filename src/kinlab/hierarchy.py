@@ -9,8 +9,6 @@ values exactly at truncation.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +20,13 @@ from .sectors import (
     SequenceState,
     embed_env_vector,
     embed_with_slots,
-    integrate_env_slots,
-    sector_inner,
-    sector_mass,
 )
 
 __all__ = [
-    "ObservableSeq",
     "additive_observable",
     "additive_reduced_initial",
     "evolve_full",
     "reduce_observable",
-    "reduce_state",
     "mean_value_full",
     "mean_value_reduced",
     "dual_bbgky_solution",
@@ -42,27 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObservableSeq(SequenceState):
-    """Sequence of observables with a structural flag.
-
-    flag 'additive' asserts the reduced shape (O_(1+0), O_(0+1), 0, ...);
-    'k-ary' and 'general' carry no extra constraint.
-    """
-
-    flag: str = "general"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.flag not in ("additive", "k-ary", "general"):
-            raise ValueError(f"unknown observable flag {self.flag!r}")
-        if self.flag == "additive":
-            for sec in self.sectors[2:]:
-                if np.max(np.abs(sec.data)) > 0:
-                    raise ValueError("additive flag requires zero sectors above arity 1")
-
-
-def additive_observable(o_tracer: np.ndarray, o_env: np.ndarray, n_max: int) -> ObservableSeq:
+def additive_observable(o_tracer: np.ndarray, o_env: np.ndarray, n_max: int) -> SequenceState:
     """Full additive observable O_(1+n) = O_(1+0)(u) + sum_j O_(0+1)(u_j)."""
     secs = []
     for n in range(n_max + 1):
@@ -70,10 +43,11 @@ def additive_observable(o_tracer: np.ndarray, o_env: np.ndarray, n_max: int) -> 
         for j in range(1, n + 1):
             data = data + embed_env_vector(np.asarray(o_env, dtype=float), n, j)
         secs.append(SectorFunction(n, data))
-    return ObservableSeq(tuple(secs), kind="observable", flag="general")
+    return SequenceState(tuple(secs), kind="observable")
 
 
-def additive_reduced_initial(o_tracer: np.ndarray, o_env: np.ndarray, n_max: int) -> ObservableSeq:
+def additive_reduced_initial(o_tracer: np.ndarray, o_env: np.ndarray,
+                             n_max: int) -> SequenceState:
     """Reduced image of an additive observable: (O_(1+0), O_(0+1), 0, ...)."""
     n = np.asarray(o_tracer).shape[0]
     secs = [SectorFunction(0, np.asarray(o_tracer, dtype=float))]
@@ -81,7 +55,7 @@ def additive_reduced_initial(o_tracer: np.ndarray, o_env: np.ndarray, n_max: int
         secs.append(SectorFunction(1, embed_env_vector(np.asarray(o_env, dtype=float), 1, 1)))
     for s in range(2, n_max + 1):
         secs.append(SectorFunction(s, np.zeros((n,) * (s + 1))))
-    return ObservableSeq(tuple(secs), kind="observable", flag="additive")
+    return SequenceState(tuple(secs), kind="observable")
 
 
 def evolve_full(model: ModelSpec, seq: SequenceState, t: float, direction: str) -> SequenceState:
@@ -94,8 +68,6 @@ def evolve_full(model: ModelSpec, seq: SequenceState, t: float, direction: str) 
     for s, sec in enumerate(seq.sectors):
         mat = ws.semigroup(s, frozenset(range(s + 1)), t, direction)
         out.append(SectorFunction(s, (mat @ sec.flat).reshape(sec.data.shape)))
-    if isinstance(seq, ObservableSeq):
-        return ObservableSeq(tuple(out), kind=seq.kind, flag="general")
     return SequenceState(tuple(out), kind=seq.kind)
 
 
@@ -117,38 +89,18 @@ def reduce_observable(obs: SequenceState, s: int) -> SectorFunction:
     return SectorFunction(s, acc)
 
 
-def reduce_state(ensemble: SequenceState, model: ModelSpec, s: int) -> SectorFunction:
-    """Grand-canonical marginal F_(1+s) of the truncated ensemble."""
-    w = model.weights
-    norm = ensemble.partition_norm(w)
-    if norm <= 0:
-        raise ValueError("zero partition norm")
-    acc = np.zeros((model.n_states,) * (s + 1))
-    for n in range(0, ensemble.n_max - s + 1):
-        acc += integrate_env_slots(ensemble[s + n].data, w, s) / math.factorial(n)
-    return SectorFunction(s, acc / norm)
-
-
 def mean_value_full(obs: SequenceState, ensemble: SequenceState, model: ModelSpec) -> float:
     """<O>(t) = (I, D)^(-1) sum_s (1/s!) <O_(1+s), D_(1+s)> (weighted sums)."""
-    w = model.weights
-    norm = ensemble.partition_norm(w)
+    norm = ensemble.partition_norm(model.weights)
     if norm <= 0:
         raise ValueError("zero partition norm")
-    total = 0.0
-    for s in range(min(obs.n_max, ensemble.n_max) + 1):
-        total += sector_inner(obs[s].data, ensemble[s].data, w) / math.factorial(s)
-    return total / norm
+    return obs.pair(ensemble, model.weights) / norm
 
 
 def mean_value_reduced(reduced_obs: SequenceState, reduced_state: SequenceState,
                        model: ModelSpec) -> float:
     """(B, F) = sum_s (1/s!) <B_(1+s), F_(1+s)>."""
-    w = model.weights
-    total = 0.0
-    for s in range(min(reduced_obs.n_max, reduced_state.n_max) + 1):
-        total += sector_inner(reduced_obs[s].data, reduced_state[s].data, w) / math.factorial(s)
-    return total
+    return reduced_obs.pair(reduced_state, model.weights)
 
 
 def dual_bbgky_solution(model: ModelSpec, initial: SequenceState, t: float, s: int) -> SectorFunction:

@@ -203,8 +203,6 @@ class KineticEngine:
         acc = np.zeros((dim, dim))
         found = False
         for blocks in enumerate_dissections(z_slots, max_parts=r_j):
-            if len(blocks) > len(host_pool):
-                continue
             coeff = 1.0 / math.factorial(len(blocks))
             for block in blocks:
                 coeff /= math.factorial(len(block))
@@ -243,13 +241,17 @@ class KineticEngine:
         return self._memo.get(t, ("series", n),
                               lambda: self._correlated_term(t, 0, n, np.eye(self.model.n_states)))
 
+    def _check_order(self, order: int) -> None:
+        if order > self.model.n_max:
+            raise ValidationError(f"order: series order {order} exceeds the model n_max "
+                                  f"{self.model.n_max}")
+
     def series_matrix(self, t: float, order: int) -> np.ndarray:
-        """F0 -> F_(1+0)(t) at the given truncation order."""
+        """F0 -> F_(1+0)(t) at the given truncation order, at most the model n_max."""
+        self._check_order(order)
         return sum(self.series_term_matrix(t, n) for n in range(order + 1))
 
     def reduced_distribution(self, t: float, order: int) -> TracerDistribution:
-        if order > self.model.n_max:
-            raise ValueError("series order exceeds n_max")
         vals = self.series_matrix(t, order) @ self.profile.tracer0
         mass = float(np.dot(self.model.weights, vals))
         drift = mass - 1.0
@@ -327,8 +329,10 @@ class KineticEngine:
         Free tracer flow plus eps times the collision integral over the
         pair functional at order-1 lower truncation; with the resolvent
         route the identity d/dt F(t) = rhs(F(t)) is exact on the series
-        trajectory at matched order.
+        trajectory at matched order; order is a series order, at most the model n_max.
         """
+        self._check_order(order)
+
         def build():
             model = self.model
             n = model.n_states
@@ -354,8 +358,10 @@ class KineticEngine:
         A step with mass drift beyond 1e-6 raises StepRejected.  dt must divide
         t_max to a relative 1e-9, so the trajectory ends at t_max.
         """
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not t_max > 0:
+            raise ValidationError("t_max: must be > 0")
+        if not dt > 0:
+            raise ValidationError("dt: must be > 0")
         w = self.model.weights
         steps = int(round(t_max / dt))
         if abs(steps * dt - t_max) > 1e-9 * abs(t_max):
@@ -396,11 +402,9 @@ class KineticEngine:
         n_max = model.n_max
         if initial_reduced.n_max < n_max:
             raise ValueError("observable sequence shorter than n_max")
-        chain = self.profile.chain_sequence(n_max)
-        lhs = 0.0
-        for s in range(n_max + 1):
-            b_t = dual_bbgky_solution(model, initial_reduced, t, s)
-            lhs += sector_inner(b_t.data, chain[s].data, w) / math.factorial(s)
+        solved = SequenceState(tuple(dual_bbgky_solution(model, initial_reduced, t, s)
+                                     for s in range(n_max + 1)), kind="observable")
+        lhs = solved.pair(self.profile.chain_sequence(n_max), w)
         f1 = self.reduced_distribution(t, n_max)
         rhs = sector_inner(initial_reduced[0].data, f1.values, w)
         for s in range(1, n_max + 1):

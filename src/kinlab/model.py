@@ -30,6 +30,7 @@ __all__ = [
     "load_model",
     "load_model_file",
     "build_initial_state",
+    "reduce_state",
     "tiny_model",
 ]
 
@@ -483,28 +484,33 @@ def build_initial_state(profile: CorrelationProfile, model: ModelSpec,
     """Construct the full ensemble D(0) and its reduced sequence.
 
     D_(1+n) = z^n * g_(1+n) * F0_(0+n) * F0_(1+0), zero above n_max; the
-    reduced sectors are then computed exactly from D(0) by the truncated
-    reduction sums, so the pair is self-consistent by construction.
+    reduced sectors are then computed exactly from D(0) by `reduce_state`,
+    so the pair is self-consistent by construction.
     """
     if z <= 0:
         raise ValidationError("activity: z must be > 0")
     if profile.n_max < model.n_max:
         raise ValidationError("profile: fewer correlation sectors than model n_max")
-    w = model.weights
-    full = []
-    for n in range(model.n_max + 1):
-        full.append(SectorFunction(n, (z ** n) * profile.chain_sector(n)))
+    full = [SectorFunction(n, (z ** n) * profile.chain_sector(n)) for n in range(model.n_max + 1)]
     ensemble = SequenceState(tuple(full), kind="distribution")
+    reduced = [reduce_state(ensemble, model, s) for s in range(model.n_max + 1)]
+    return ensemble, SequenceState(tuple(reduced), kind="distribution")
+
+
+def reduce_state(ensemble: SequenceState, model: ModelSpec, s: int) -> SectorFunction:
+    """Grand-canonical marginal F_(1+s) of the truncated ensemble.
+
+    F_(1+s) = (I, D)^(-1) sum_n (1/n!) D_(1+s+n) with its top n environment
+    slots integrated out.
+    """
+    w = model.weights
     norm = ensemble.partition_norm(w)
     if norm <= 0:
         raise ValidationError("ensemble: zero partition norm")
-    reduced = []
-    for s in range(model.n_max + 1):
-        acc = np.zeros((model.n_states,) * (1 + s))
-        for n in range(model.n_max - s + 1):
-            acc += integrate_env_slots(full[s + n].data, w, s) / math.factorial(n)
-        reduced.append(SectorFunction(s, acc / norm))
-    return ensemble, SequenceState(tuple(reduced), kind="distribution")
+    acc = np.zeros((model.n_states,) * (s + 1))
+    for n in range(ensemble.n_max - s + 1):
+        acc += integrate_env_slots(ensemble[s + n].data, w, s) / math.factorial(n)
+    return SectorFunction(s, acc / norm)
 
 
 def tiny_model(eps: float = 0.0, n_max: int = 2, kernel_int: str = "uniform",

@@ -46,10 +46,6 @@ class GeneratorMatrix:
     selector: frozenset
     matrix: np.ndarray = field(repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _one_slot_forward(rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # L[u, v] = a(u) * (w(v) A(v; u) - delta_{uv})

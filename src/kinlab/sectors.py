@@ -58,20 +58,8 @@ class SectorFunction:
         object.__setattr__(self, "data", arr)
 
     @property
-    def n_states(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
-
-    def __add__(self, other: "SectorFunction") -> "SectorFunction":
-        return SectorFunction(self.s, self.data + other.data)
-
-    def __mul__(self, c: float) -> "SectorFunction":
-        return SectorFunction(self.s, self.data * c)
-
-    __rmul__ = __mul__
 
 
 def embed_with_slots(small: np.ndarray, s_big: int, kept_env_slots) -> np.ndarray:
@@ -152,6 +140,13 @@ class SequenceState:
 
     def __getitem__(self, s: int) -> SectorFunction:
         return self.sectors[s]
+
+    def pair(self, other: "SequenceState", weights: np.ndarray) -> float:
+        """Grand-canonical pairing sum_s (1/s!) <A_(1+s), B_(1+s)> over the common sectors."""
+        total = 0.0
+        for s in range(min(self.n_max, other.n_max) + 1):
+            total += sector_inner(self[s].data, other[s].data, weights) / math.factorial(s)
+        return total
 
     def partition_norm(self, weights: np.ndarray) -> float:
         """(I, D) = sum_n (1/n!) * full weighted sum of sector n."""

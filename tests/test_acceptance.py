@@ -23,10 +23,9 @@ from kinlab.hierarchy import (
     mean_value_full,
     mean_value_reduced,
     reduce_observable,
-    reduce_state,
 )
 from kinlab.kinetic import engine_for
-from kinlab.model import CorrelationProfile, build_initial_state, tiny_model
+from kinlab.model import CorrelationProfile, build_initial_state, reduce_state, tiny_model
 from kinlab.montecarlo import estimate_means, gillespie_step, Configuration
 from kinlab.operators import build_dual_generator, build_forward_generator, full_selector
 from kinlab.sectors import SectorFunction, SequenceState, sector_inner

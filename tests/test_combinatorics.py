@@ -165,7 +165,7 @@ def test_cumulant_rejects_overlapping_labels(tiny):
         cumulant_matrix(tiny, 0.5, [frozenset({0, 1}), frozenset({1})], 1, "forward")
 
 
-@pytest.mark.parametrize("s,n", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("s,n", [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_cluster_expansion_reconstruction_tiny(tiny_full, s, n):
     assert verify_cluster_expansion(tiny_full, 0.5, s, n) <= 1e-10
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kinlab.hierarchy import (
-    ObservableSeq,
     additive_observable,
     additive_reduced_initial,
     additive_solution,
@@ -12,9 +11,8 @@ from kinlab.hierarchy import (
     mean_value_full,
     mean_value_reduced,
     reduce_observable,
-    reduce_state,
 )
-from kinlab.model import CorrelationProfile, build_initial_state, tiny_model
+from kinlab.model import CorrelationProfile, build_initial_state, reduce_state, tiny_model
 from kinlab.sectors import SectorFunction, SequenceState, embed_env_vector, embed_with_slots
 
 from conftest import correlated_profile, random_model
@@ -294,13 +292,6 @@ def test_mean_value_equivalence_two_species():
                                   kind="distribution")
     rhs = mean_value_reduced(reduced_obs, reduced_state, model)
     assert abs(lhs - rhs) <= 1e-10
-
-
-def test_additive_flag_rejects_higher_sectors():
-    bad = [SectorFunction(0, np.ones(2)), SectorFunction(1, np.ones((2, 2))),
-           SectorFunction(2, np.ones((2, 2, 2)))]
-    with pytest.raises(ValueError, match="additive"):
-        ObservableSeq(tuple(bad), kind="observable", flag="additive")
 
 
 def test_additive_observable_reduces_to_additive_initial():

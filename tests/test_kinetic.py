@@ -308,6 +308,29 @@ def test_integrate_fp_rejects_step_that_does_not_divide_t_max():
     assert eng.integrate_fp(np.array([0.75, 0.25]), 0.5, 0.1, 0)[-1].t == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("t_max,dt,key", [(-0.5, 0.1, "t_max"), (0.0, 0.1, "t_max"),
+                                          (0.5, 0.0, "dt"), (0.5, -0.1, "dt")])
+def test_integrate_fp_rejects_nonpositive_times(coupled_engine, t_max, dt, key):
+    with pytest.raises(ValidationError, match=f"^{key}:"):
+        coupled_engine.integrate_fp(np.array([0.75, 0.25]), t_max, dt, 0)
+
+
+@pytest.mark.parametrize("route", ["resolvent", "scattering"])
+def test_series_order_bound_is_the_model_n_max(coupled_engine, route):
+    # the profile carries n_max 3, so only the model's n_max 2 bounds the order
+    order = coupled_engine.model.n_max + 1
+    calls = [
+        lambda: coupled_engine.rhs_matrix(0.5, order, route=route),
+        lambda: coupled_engine.integrate_fp(np.array([0.75, 0.25]), 0.1, 0.1, order, route=route),
+        lambda: coupled_engine.series_matrix(0.5, order),
+        lambda: coupled_engine.reduced_distribution(0.5, order),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^order:"):
+            call()
+    coupled_engine.rhs_matrix(0.5, order - 1, route=route)
+
+
 def test_collision_matrix_is_the_gain_loss_integral():
     model = random_model(7, n_points=3, n_max=2)
     n, w = model.n_states, model.weights

@@ -78,3 +78,16 @@ def test_partition_norm_matches_direct_sum():
     s1 = SectorFunction(1, np.full((2, 2), 0.5))
     seq = SequenceState((s0, s1), kind="distribution")
     assert seq.partition_norm(w) == pytest.approx(2.0 + 0.5 * 4 / 1.0)
+
+
+def test_pair_sums_common_sectors_with_factorial_weights():
+    w = np.array([2.0, 1.0])
+    a = SequenceState((SectorFunction(0, np.array([1.0, 3.0])),
+                       SectorFunction(1, np.full((2, 2), 2.0)),
+                       SectorFunction(2, np.ones((2, 2, 2)))), kind="observable")
+    b = SequenceState((SectorFunction(0, np.array([0.5, 1.0])),
+                       SectorFunction(1, np.eye(2))), kind="distribution")
+    # sector 2 of a has no partner; sector 1 carries 1/1!
+    want = (2 * 0.5 + 1 * 3.0) + (2 * 2 * 2.0 + 1 * 1 * 2.0)
+    assert a.pair(b, w) == pytest.approx(want)
+    assert b.pair(a, w) == a.pair(b, w)
