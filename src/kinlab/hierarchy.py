@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .combinatorics import cumulant_apply
-from .model import ModelSpec
+from .model import ModelSpec, ValidationError
 from .operators import TRACER, workspace_for
 from .sectors import (
     SectorFunction,
@@ -93,7 +93,7 @@ def mean_value_full(obs: SequenceState, ensemble: SequenceState, model: ModelSpe
     """<O>(t) = (I, D)^(-1) sum_s (1/s!) <O_(1+s), D_(1+s)> (weighted sums)."""
     norm = ensemble.partition_norm(model.weights)
     if norm <= 0:
-        raise ValueError("zero partition norm")
+        raise ValidationError("ensemble: zero partition norm")
     return obs.pair(ensemble, model.weights) / norm
 
 

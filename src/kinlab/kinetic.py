@@ -355,6 +355,8 @@ class KineticEngine:
         The non-Markovian right-hand side depends on absolute time through
         the cumulant operators, so stage operators are rebuilt per step; the
         memo keeps the latest stage time, which the next stage or step reuses.
+        The stage times 0, dt/2, dt, ... are the workspace's time lattice:
+        past the first half step, each semigroup is one product, not an expm.
         A step with mass drift beyond 1e-6 raises StepRejected.  dt must divide
         t_max to a relative 1e-9, so the trajectory ends at t_max.
         """

@@ -8,7 +8,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from kinlab.model import CorrelationProfile, MicroGrid, ModelSpec, builtin_kernel, tiny_model
+from kinlab.model import CorrelationProfile, MicroGrid, ModelSpec, tiny_model
 
 
 def random_model(seed, n_points=3, m=1, eps=0.3, n_max=2, unit_weights=False):

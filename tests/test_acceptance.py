@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from kinlab.combinatorics import verify_cluster_expansion
 from kinlab.hierarchy import (

@@ -12,10 +12,16 @@ from kinlab.hierarchy import (
     mean_value_reduced,
     reduce_observable,
 )
-from kinlab.model import CorrelationProfile, build_initial_state, reduce_state, tiny_model
+from kinlab.model import (
+    CorrelationProfile,
+    ValidationError,
+    build_initial_state,
+    reduce_state,
+    tiny_model,
+)
 from kinlab.sectors import SectorFunction, SequenceState, embed_env_vector, embed_with_slots
 
-from conftest import correlated_profile, random_model
+from conftest import random_model
 
 
 def random_sequence(rng, n_states, n_max, kind, nonneg=False):
@@ -134,6 +140,18 @@ def test_mean_value_positive_for_nonnegative_pairs(tiny_full):
         o = random_sequence(rng, 2, 2, "observable", nonneg=True)
         d = random_sequence(rng, 2, 2, "distribution", nonneg=True)
         assert mean_value_full(o, d, tiny_full) >= 0.0
+
+
+def test_zero_partition_norm_is_one_validation_error(tiny_full):
+    zero = SequenceState(tuple(SectorFunction(s, np.zeros((2,) * (s + 1)))
+                               for s in range(3)), kind="distribution")
+    ones = SequenceState(tuple(SectorFunction(s, np.ones((2,) * (s + 1)))
+                               for s in range(3)), kind="observable")
+    message = "^ensemble: zero partition norm$"
+    with pytest.raises(ValidationError, match=message):
+        mean_value_full(ones, zero, tiny_full)
+    with pytest.raises(ValidationError, match=message):
+        reduce_state(zero, tiny_full, 0)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -387,10 +387,8 @@ def test_kinetic_stack_on_weighted_grid():
     assert endpoint_err <= 1e-5
 
 
-def test_rk4_calls_expm_at_most_twice_per_sector_per_new_time(monkeypatch):
-    # the fp-kinetic shape: 3 states, n_max 3, K 3; only canonical selectors
-    # (tracer plus 0..n_max environment slots, or 1..n_max without the
-    # tracer) reach expm, once per new |t|
+def _fp_kinetic_expm_dims(t_max):
+    """expm sizes of an RK4 run of the fp-kinetic shape (3 states, n_max 3, K 3)."""
     model = random_model(43, n_points=3, eps=0.1, n_max=3)
     w = model.weights
     rng = np.random.default_rng(43)
@@ -408,12 +406,25 @@ def test_rk4_calls_expm_at_most_twice_per_sector_per_new_time(monkeypatch):
         dims.append(a.shape[0])
         return expm(a)
 
-    monkeypatch.setattr(kinlab.operators, "expm", counted)
-    traj = engine_for(model, profile).integrate_fp(tracer0, 0.02, 0.01, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinlab.operators, "expm", counted)
+        traj = engine_for(model, profile).integrate_fp(tracer0, t_max, 0.01, 3)
+    assert len(traj) == int(round(t_max / 0.01)) + 1
+    return dims
+
+
+def test_rk4_calls_expm_at_most_twice_per_sector_per_new_time():
+    # only canonical selectors (tracer plus 0..n_max environment slots, or
+    # 1..n_max without the tracer) reach expm, at most once per new |t|:
     # |t| = 0, 0.005, 0.01, 0.015, 0.02
-    assert len(traj) == 3
-    assert 0 < len(dims) <= 5 * 2 * (model.n_max + 1)
-    assert max(dims) == 3 ** (model.n_max + 1)
+    dims = _fp_kinetic_expm_dims(0.02)
+    assert 0 < len(dims) <= 5 * 2 * 4
+    assert max(dims) == 3 ** 4
+
+
+def test_rk4_expm_count_does_not_grow_with_steps():
+    # on the half-step lattice every later stage time is a product
+    assert _fp_kinetic_expm_dims(0.2) == _fp_kinetic_expm_dims(0.02)
 
 
 def test_series_terms_decay_geometrically_for_small_data():

@@ -12,7 +12,6 @@ from kinlab.sectors import (
     embed_with_slots,
     integrate_env_slots,
     sector_inner,
-    symmetrize_env,
 )
 
 
