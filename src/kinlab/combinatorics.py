@@ -22,6 +22,8 @@ __all__ = [
     "MAX_ELEMENTS",
     "enumerate_partitions",
     "enumerate_dissections",
+    "partition_plan",
+    "partition_products",
     "cumulant_apply",
     "cumulant_matrix",
     "verify_cluster_expansion",
@@ -86,6 +88,45 @@ def _mobius(n_blocks: int) -> float:
     return (-1.0) ** (n_blocks - 1) * math.factorial(n_blocks - 1)
 
 
+def partition_plan(model: ModelSpec, labels) -> tuple:
+    """(mu, block unions) of every partition of the labels, in enumeration order.
+
+    mu = (-1)^(|P|-1) (|P|-1)! is the Moebius weight of partition P; each
+    block of P becomes the union of its labels' slots.  Enumerated once per
+    label set and kept on the model's workspace, since it does not depend on
+    time.
+    """
+    labels = tuple(frozenset(lab) for lab in labels)
+    plans = workspace_for(model).plans
+    if labels not in plans:
+        seen: set = set()
+        for lab in labels:
+            if lab & seen:
+                raise ValueError("cluster labels overlap")
+            seen |= lab
+        plans[labels] = tuple((_mobius(len(blocks)), tuple(frozenset().union(*b) for b in blocks))
+                              for blocks in enumerate_partitions(labels))
+    return plans[labels]
+
+
+def partition_products(model: ModelSpec, t: float, labels, s: int, direction: str,
+                       x: np.ndarray | None):
+    """Yield (mu, prod_blocks e^(t Lambda(union of block slots)) x) per partition.
+
+    The product is evaluated right to left on the (1+s)-sector, in the
+    order of `partition_plan`.  x is a flat sector vector or a dim x m
+    matrix of them; None stands for the identity, which yields the product
+    matrices themselves.
+    """
+    ws = workspace_for(model)
+    for mu, unions in partition_plan(model, labels):
+        term = x
+        for union in reversed(unions):
+            semigroup = ws.semigroup(s, union, t, direction)
+            term = semigroup if term is None else semigroup @ term
+        yield mu, term
+
+
 def cumulant_apply(model: ModelSpec, t: float, labels, s: int, direction: str,
                    x: np.ndarray | None) -> np.ndarray:
     """Cumulant of semigroups for the given cluster labels, applied to x.
@@ -93,25 +134,14 @@ def cumulant_apply(model: ModelSpec, t: float, labels, s: int, direction: str,
     labels: iterable of frozensets of slot axes (merged clusters and
     singletons) on the (1+s)-sector.  Returns the sum over partitions P of
     the labels of (-1)^(|P|-1) (|P|-1)! prod_blocks e^(t Lambda(union of
-    block slots)) x, each product evaluated right to left.  x is a flat
-    sector vector or a dim x m matrix of them; None stands for the identity,
-    which gives the cumulant matrix itself.
+    block slots)) x, summed as `partition_products` yields the terms, so no
+    stack of products is formed.  x is as in `partition_products`; None
+    gives the cumulant matrix itself.
     """
-    labels = [frozenset(lab) for lab in labels]
-    seen: set = set()
-    for lab in labels:
-        if lab & seen:
-            raise ValueError("cluster labels overlap")
-        seen |= lab
-    ws = workspace_for(model)
     dim = model.n_states ** (s + 1)
     total = np.zeros((dim, dim) if x is None else np.shape(x))
-    for blocks in enumerate_partitions(labels):
-        term = x
-        for block in reversed(blocks):
-            semigroup = ws.semigroup(s, frozenset().union(*block), t, direction)
-            term = semigroup if term is None else semigroup @ term
-        total += _mobius(len(blocks)) * term
+    for mu, term in partition_products(model, t, labels, s, direction, x):
+        total += mu * term
     return total
 
 

@@ -29,7 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import cumulant_apply, cumulant_matrix, enumerate_dissections
+from .combinatorics import (
+    cumulant_matrix,
+    enumerate_dissections,
+    partition_plan,
+    partition_products,
+)
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec, ValidationError
 from .operators import TRACER, LatestTimeMemo, workspace_for
@@ -38,7 +43,6 @@ from .sectors import (
     SequenceState,
     embed_with_slots,
     integrate_env_slots,
-    sector_inner,
 )
 
 __all__ = [
@@ -94,7 +98,9 @@ class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
     Time-dependent operators are memoized for the latest |t| only, like the
-    model's semigroups.  Every operator needs correlation data up to its
+    model's semigroups.  The one other time-dependent state is the column
+    lattice of the correlated terms (`_columns`): per sector, its step and
+    its latest value.  Every operator needs correlation data up to its
     sector, so the profile's n_max caps s + n (and s + K for functionals).
     """
 
@@ -105,6 +111,9 @@ class KineticEngine:
         self.profile = profile
         self.ws = workspace_for(model)
         self._memo = LatestTimeMemo()
+        self._sectors: dict = {}
+        self._cluster_weights: dict = {}
+        self._lattice: dict = {}
 
     def _check_cap(self, top: int, what: str) -> None:
         if top > self.profile.n_max:
@@ -216,30 +225,87 @@ class KineticEngine:
 
     # -- correlated terms and the tracer series ------------------------------
 
-    def _correlated_term(self, t: float, s: int, n: int, f0: np.ndarray) -> np.ndarray:
-        """Order-n term of the correlated (1+s)-sector series on tracer columns.
+    def _sector(self, k: int):
+        """The slot partitions of sector k, built once, with their columns at t = 0.
 
-        Each column of f0 (n_states x m) sits on the tracer slot of the
-        (1+s+n)-sector, dressed with g * F_env; one dual cumulant of the
-        cluster {tracer, 1..s} and the singles s+1..s+n acts on all columns,
-        and the environment slots above s are integrated out.  Returns shape
-        (n_states,)*(s+1) + (m,).
+        Returns the `partition_plan` of the singletons {0}, ..., {k} and the
+        dressed tracer basis P_k = g[k] * env_reduced[k] (x) e_u, a
+        dim_k x n_states matrix, stacked once per partition.
         """
-        model = self.model
+        if k not in self._sectors:
+            n = self.model.n_states
+            labels = [frozenset({j}) for j in range(k + 1)]
+            plan = partition_plan(self.model, labels)
+            g = self.profile.g[k]
+            dress = g * self.profile.env_reduced[k][np.newaxis, ...] if k > 0 else g
+            basis = dress[..., np.newaxis] * np.eye(n).reshape((n,) + (1,) * k + (n,))
+            stack = np.broadcast_to(basis.reshape(-1, n), (len(plan), n ** (k + 1), n))
+            self._sectors[k] = (labels, plan, stack)
+        return self._sectors[k]
+
+    def _columns(self, t: float, k: int) -> np.ndarray:
+        """W_k(t) = e^(t Lambda_pi) P_k for every partition pi of the slots 0..k.
+
+        Shape (Bell(k+1), dim_k, n_states).  The blocks of pi act on disjoint
+        slots, so their semigroups commute.  t = 0 starts the sector's time
+        lattice with W = P.  Its first positive time is the step h, and
+        E_pi = prod_B e^(h Lambda(B)) is built there once; a time within one
+        ulp of the latest lattice time plus h is then one batched product
+        E @ W, and the latest lattice time returns its stack again.  Every
+        other time, negative or off the lattice, takes its products from the
+        workspace, memoized for the latest |t|, and leaves the lattice as it
+        is.  Memory: two stacks per sector, E and W.
+        """
+        labels, plan, start = self._sector(k)
+        if t == 0:
+            _, _, h, step = self._lattice.get(k, (0.0, start, None, None))
+            self._lattice[k] = (0.0, start, h, step)
+            return start
+        if t > 0 and k in self._lattice:
+            t0, cols, h, step = self._lattice[k]
+            if t == t0:
+                return cols
+            if t0 == 0 and t != h:
+                h = t
+                step = np.stack([term for _, term in
+                                 partition_products(self.model, t, labels, k, "dual", None)])
+            if abs(t - t0 - h) <= math.ulp(t):
+                cols = np.matmul(step, cols)
+                self._lattice[k] = (t, cols, h, step)
+                return cols
+        return self._memo.get(t, ("columns", k), lambda: np.stack([
+            term for _, term in
+            partition_products(self.model, t, labels, k, "dual", start[0])]))
+
+    def _correlated_term(self, t: float, s: int, n: int) -> np.ndarray:
+        """Order-n term of the correlated (1+s)-sector series, as a map of tracer data.
+
+        The dual cumulant of the cluster {tracer, 1..s} and the singles
+        s+1..s+n, applied to the dressed tracer basis P_(s+n), is the
+        Moebius-weighted sum of the columns W_(s+n)(t) over the slot
+        partitions in which 0..s share a block; the environment slots above
+        s are then integrated out.  Returns shape (n_states,)*(s+1) +
+        (n_states,): its last axis takes the tracer data (`@ f0`).
+        """
         sector = s + n
-        labels = [frozenset(range(s + 1))] + [frozenset({j}) for j in range(s + 1, sector + 1)]
-        g = self.profile.g[sector]
-        dress = g * self.profile.env_reduced[sector][np.newaxis, ...] if sector > 0 else g
-        n_states, m = f0.shape
-        cols = dress[..., np.newaxis] * f0.reshape((n_states,) + (1,) * sector + (m,))
-        out = cumulant_apply(model, t, labels, sector, "dual", cols.reshape(-1, m))
-        return _integrate_env(out.reshape(cols.shape), model.weights, s) / math.factorial(n)
+        if (s, n) not in self._cluster_weights:
+            cluster = frozenset(range(s + 1))
+            _, plan, _ = self._sector(sector)
+            self._cluster_weights[(s, n)] = [
+                (i, mu) for i, (mu, unions) in enumerate(plan)
+                if any(cluster <= union for union in unions)]
+        cols = self._columns(t, sector)
+        total = np.zeros(cols.shape[1:])
+        for i, mu in self._cluster_weights[(s, n)]:
+            total += mu * cols[i]
+        n_states = self.model.n_states
+        total = total.reshape((n_states,) * (sector + 1) + (n_states,))
+        return _integrate_env(total, self.model.weights, s) / math.factorial(n)
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
         self._check_cap(n, "series term")
-        return self._memo.get(t, ("series", n),
-                              lambda: self._correlated_term(t, 0, n, np.eye(self.model.n_states)))
+        return self._memo.get(t, ("series", n), lambda: self._correlated_term(t, 0, n))
 
     def _check_order(self, order: int) -> None:
         if order > self.model.n_max:
@@ -299,7 +365,7 @@ class KineticEngine:
         if route == "resolvent":
             k_rec = order if recon_order is None else recon_order
             f0 = np.linalg.solve(self.series_matrix(t, k_rec), F)
-            return sum(self._correlated_term(t, s, n, f0) for n in range(order + 1))
+            return sum(self._correlated_term(t, s, n) for n in range(order + 1)) @ f0
         if route != "scattering":
             raise ValueError(f"unknown route {route!r}")
         acc = 0.0
@@ -355,8 +421,9 @@ class KineticEngine:
         The non-Markovian right-hand side depends on absolute time through
         the cumulant operators, so stage operators are rebuilt per step; the
         memo keeps the latest stage time, which the next stage or step reuses.
-        The stage times 0, dt/2, dt, ... are the workspace's time lattice:
-        past the first half step, each semigroup is one product, not an expm.
+        The stage times 0, dt/2, dt, ... are the engine's column lattice:
+        past the first half step, the correlated terms at a new time are one
+        batched product per sector, with no semigroup built.
         A step with mass drift beyond 1e-6 raises StepRejected.  dt must divide
         t_max to a relative 1e-9, so the trajectory ends at t_max.
         """
@@ -407,14 +474,13 @@ class KineticEngine:
         solved = SequenceState(tuple(dual_bbgky_solution(model, initial_reduced, t, s)
                                      for s in range(n_max + 1)), kind="observable")
         lhs = solved.pair(self.profile.chain_sequence(n_max), w)
-        f1 = self.reduced_distribution(t, n_max)
-        rhs = sector_inner(initial_reduced[0].data, f1.values, w)
-        for s in range(1, n_max + 1):
-            if np.max(np.abs(initial_reduced[s].data)) == 0.0:
-                continue
-            f_s = self.state_functional(t, f1.values, s, order, route=route,
-                                        recon_order=n_max)
-            rhs += sector_inner(initial_reduced[s].data, f_s.data, w) / math.factorial(s)
+        f1 = self.reduced_distribution(t, n_max).values
+        # a functional is built only where the observable sector is nonzero
+        state = [SectorFunction(0, f1)] + [
+            self.state_functional(t, f1, s, order, route=route, recon_order=n_max)
+            if np.any(initial_reduced[s].data) else SectorFunction(s, np.zeros((f1.size,) * (s + 1)))
+            for s in range(1, n_max + 1)]
+        rhs = initial_reduced.pair(SequenceState(tuple(state), kind="distribution"), w)
         return DualityReport(t=t, order=order, eps=model.eps, lhs=lhs, rhs=rhs)
 
 

@@ -9,6 +9,7 @@ identity downstream is exact finite algebra.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -194,10 +195,12 @@ class ModelSpec:
     def n_states(self) -> int:
         return self.m * len(self.grid)
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Quadrature weight per combined (species, micro) state."""
-        return np.tile(self.grid.weights, self.m)
+        """Quadrature weight per combined (species, micro) state; read-only, built once."""
+        w = np.tile(self.grid.weights, self.m)
+        w.setflags(write=False)
+        return w
 
     @property
     def key(self) -> str:

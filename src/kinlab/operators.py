@@ -9,7 +9,6 @@ exponentials are exact workhorses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,26 +162,28 @@ class LatestTimeMemo:
 
 
 class Workspace:
-    """Per-model blocks, generators and embeddings (all kept), semigroups (latest |t| only).
+    """Per-model time-independent data (all kept) and semigroups (latest |t| only).
+
+    The kept data are the collision blocks, generators, slot embeddings and
+    `plans`, the partition plans of `combinatorics.partition_plan` per label
+    set.
 
     Environment slots are exchangeable and Lambda(X) is the identity off X,
     so e^(t Lambda(X)) on sector s is the semigroup of the canonical
     selector X* = ({tracer} if tracer in X) | {1..k}, k = |X - {tracer}|, on
     sector k, placed on the slots [tracer] + sorted(X - {tracer}).  Only
-    (sector k, X*) pairs are computed; every other pair gathers from them.
-    For a tracer-free X the tracer axis of X* is an identity axis, so one
-    rule covers both cases.  A canonical pair on the time lattice that
-    integrate_fp visits, 0, h, 2h, ..., is one product per step (see
-    `_canonical`); any other time calls expm.
+    (sector k, X*) pairs call expm, once per |t| and sign; every other pair
+    gathers from them.  For a tracer-free X the tracer axis of X* is an
+    identity axis, so one rule covers both cases.
     """
 
     def __init__(self, model: ModelSpec):
         self.model = model
+        self.plans: dict = {}
         self._blocks: dict = {}
         self._generators: dict = {}
         self._embeddings: dict = {}
         self._semigroups = LatestTimeMemo()
-        self._lattice: dict = {}
 
     def generator(self, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
         key = (s, frozenset(selector), direction)
@@ -200,37 +201,9 @@ class Workspace:
         k = len(env)
         canonical = frozenset(range(0 if TRACER in selector else 1, k + 1))
         if s == k and selector == canonical:
-            return self._canonical(s, selector, t, direction)
+            return expm(t * self.generator(s, selector, direction).matrix)
         _check_selector(s, selector)
         return self.embedding(s, (TRACER, *env))(self.semigroup(k, canonical, t, direction))
-
-    def _canonical(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
-        """e^(t Lambda(X*)) on sector s; on a time lattice, one product per step.
-
-        The generator does not depend on time, so e^((t0 + h) Lambda) =
-        e^(t0 Lambda) e^(h Lambda).  t = 0 starts the key's lattice 0, h, 2h,
-        ...; its first positive time is h, and its value is e^(h Lambda).  The
-        workspace keeps that step and the latest lattice value, at t0; a time
-        t with |t - t0 - h| at most ulp(t) is their product, so each product
-        steps within one ulp of t - t0.  Every other time calls expm and
-        leaves the lattice as it is.  Memory: at most two matrices per key.
-        """
-        gen = self.generator(s, selector, direction).matrix
-        key = (s, selector, direction)
-        if t == 0:
-            self._lattice[key] = (0.0, 0.0, None, None)
-        elif t > 0 and key in self._lattice:
-            t0, h, value, step = self._lattice[key]
-            if h == 0:
-                h, value = t, expm(t * gen)
-                step = value
-            elif abs(t - t0 - h) <= math.ulp(t):
-                value = value @ step
-            else:
-                return expm(t * gen)
-            self._lattice[key] = (t, h, value, step)
-            return value
-        return expm(t * gen)
 
     def term(self, s: int, kind: str, slots: tuple, direction: str) -> np.ndarray:
         """The collision block of `kind` placed on `slots` of sector s, without eps.

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,9 +14,9 @@ from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
 from kinlab.model import CorrelationProfile, ValidationError, tiny_model
 from kinlab.operators import TRACER, full_selector, workspace_for
-from kinlab.sectors import embed_with_slots
+from kinlab.sectors import embed_with_slots, sector_inner
 
-from conftest import correlated_profile, random_model
+from conftest import correlated_profile, fp_stage_times, random_model
 
 
 @pytest.fixture
@@ -191,6 +192,27 @@ def test_duality_two_ary_environment_observable():
     rep = engine_for(model, profile).duality_check(b0, 0.25, 1)
     assert rep.abs_residual <= 1e-4
     assert abs(rep.lhs) > 1e-3  # non-trivial comparison
+
+
+def test_duality_rhs_pairs_functionals_of_nonzero_sectors_only(monkeypatch):
+    model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=3)
+    eng = engine_for(model, correlated_profile(model, depth=4))
+    b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 3)
+    built = []
+    functional = KineticEngine.state_functional
+
+    def counted(self, t, F1, s, *args, **kwargs):
+        built.append(s)
+        return functional(self, t, F1, s, *args, **kwargs)
+
+    monkeypatch.setattr(KineticEngine, "state_functional", counted)
+    rep = eng.duality_check(b0, 0.25, 1)
+    # the additive observable's sectors 2 and 3 are zero
+    assert built == [1]
+    f1 = eng.reduced_distribution(0.25, 3).values
+    f2 = functional(eng, 0.25, f1, 1, 1, recon_order=3).data
+    w = model.weights
+    assert rep.rhs == sector_inner(b0[0].data, f1, w) + sector_inner(b0[1].data, f2, w)
 
 
 @pytest.mark.parametrize("route", ["resolvent", "scattering"])
@@ -387,8 +409,8 @@ def test_kinetic_stack_on_weighted_grid():
     assert endpoint_err <= 1e-5
 
 
-def _fp_kinetic_expm_dims(t_max):
-    """expm sizes of an RK4 run of the fp-kinetic shape (3 states, n_max 3, K 3)."""
+def _fp_kinetic_case():
+    """A model and correlated profile of the fp-kinetic shape (3 states, n_max 3)."""
     model = random_model(43, n_points=3, eps=0.1, n_max=3)
     w = model.weights
     rng = np.random.default_rng(43)
@@ -399,6 +421,12 @@ def _fp_kinetic_expm_dims(t_max):
     sigma = np.array([1.0, -1.0, 1.0])
     profile = CorrelationProfile.factorized(
         model, tracer0, env1, g_pair=1.0 + 0.2 * np.multiply.outer(sigma, sigma), n_max=3)
+    return model, profile
+
+
+def _fp_kinetic_expm_dims(t_max):
+    """expm sizes of an RK4 run of the fp-kinetic shape at K 3."""
+    model, profile = _fp_kinetic_case()
     expm = kinlab.operators.expm
     dims = []
 
@@ -408,7 +436,7 @@ def _fp_kinetic_expm_dims(t_max):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kinlab.operators, "expm", counted)
-        traj = engine_for(model, profile).integrate_fp(tracer0, t_max, 0.01, 3)
+        traj = engine_for(model, profile).integrate_fp(profile.tracer0, t_max, 0.01, 3)
     assert len(traj) == int(round(t_max / 0.01)) + 1
     return dims
 
@@ -425,6 +453,110 @@ def test_rk4_calls_expm_at_most_twice_per_sector_per_new_time():
 def test_rk4_expm_count_does_not_grow_with_steps():
     # on the half-step lattice every later stage time is a product
     assert _fp_kinetic_expm_dims(0.2) == _fp_kinetic_expm_dims(0.02)
+
+
+def _tiny_copy_kernel_case():
+    model = tiny_model(eps=0.3, rate_env2=1.0, kernel_int="copy", n_max=4)
+    return model, correlated_profile(model)
+
+
+LATTICE_CASES = {"random-3-state": _fp_kinetic_case, "tiny-copy-kernel": _tiny_copy_kernel_case}
+
+
+def _lattice_values(eng, t):
+    """The series matrix and the resolvent pair functional that rhs_matrix uses, at t."""
+    k = eng.model.n_max
+    n = eng.model.n_states
+    return (eng.series_matrix(t, k),
+            eng._state_functionals(t, np.eye(n), 1, k - 1, "resolvent", recon_order=k))
+
+
+def _direct_values(model, profile, t):
+    """The same values from a fresh engine, whose columns come from the workspace."""
+    return _lattice_values(engine_for(model, profile), t)
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_column_lattice_drift_over_1000_half_steps(case):
+    model, profile = LATTICE_CASES[case]()
+    eng = engine_for(model, profile)
+    worst = 0.0
+    for i, t in enumerate(fp_stage_times(0.01, 500)):
+        got = _lattice_values(eng, t)
+        if i % 20 == 19:
+            for a, b in zip(got, _direct_values(model, profile, t)):
+                worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
+    assert t == pytest.approx(5.0)
+    assert worst <= 1e-12
+
+
+def _counting_semigroups(mp):
+    calls = []
+    semigroup = kinlab.operators.Workspace.semigroup
+
+    def counted(self, *args):
+        calls.append(args)
+        return semigroup(self, *args)
+
+    mp.setattr(kinlab.operators.Workspace, "semigroup", counted)
+    return calls
+
+
+def test_column_lattice_step_builds_no_semigroup(monkeypatch):
+    model, profile = _fp_kinetic_case()
+    eng = engine_for(model, profile)
+    calls = _counting_semigroups(monkeypatch)
+    times = list(fp_stage_times(0.01, 20))
+    for t in times[:2]:
+        eng.rhs_matrix(t, 3)
+    # t = 0 is the basis itself; the step h builds E once
+    assert {args[2] for args in calls} == {times[1]}
+    del calls[:]
+    for t in times[2:]:
+        eng.rhs_matrix(t, 3)
+    assert calls == []
+
+
+def test_column_lattice_interleaved_with_negative_and_off_lattice_times(monkeypatch):
+    model, profile = _fp_kinetic_case()
+    eng = engine_for(model, profile)
+    calls = _counting_semigroups(monkeypatch)
+    grid = [t for i, t in enumerate(fp_stage_times(0.01, 40)) if i % 4 in (0, 1)]
+    off = [-grid[9], 0.1234, -0.1234, grid[3], 0.5678]
+    for t, on_lattice in ([(t, True) for t in grid[:10]] + [(t, False) for t in off[:4]]
+                          + [(t, True) for t in grid[10:20]] + [(off[4], False)]
+                          + [(t, True) for t in grid[20:]]):
+        before = len(calls)
+        got = _lattice_values(eng, t)
+        # past t = 0 and h, a lattice time builds no semigroup and an off one does
+        if t > grid[1]:
+            assert (len(calls) == before) == on_lattice
+        for a, b in zip(got, _direct_values(model, profile, t)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+
+def test_column_lattice_memory_flat_in_the_step_count():
+    model, profile = _fp_kinetic_case()
+    eng = engine_for(model, profile)
+    times = list(fp_stage_times(0.01, 200))
+    for t in times[:8]:
+        eng.rhs_matrix(t, 3)
+    tracemalloc.start()
+    try:
+        for t in times[8:400]:
+            eng.rhs_matrix(t, 3)
+        early = tracemalloc.get_traced_memory()[0]
+        for t in times[400:]:
+            eng.rhs_matrix(t, 3)
+        late = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # less than one column stack of the top sector: Bell(4) x 81 x 3 floats
+    assert late - early <= 8 * 15 * 81 * 3
+    # the lattice holds sum_k Bell(k+1) (dim_k^2 + dim_k n_states) floats
+    held = sum(step.nbytes + cols.nbytes for _, cols, _, step in eng._lattice.values())
+    assert held == 8 * sum(bell * (3 ** (2 * k + 2) + 3 ** (k + 2))
+                           for k, bell in enumerate((1, 2, 5, 15)))
 
 
 def test_series_terms_decay_geometrically_for_small_data():
@@ -457,7 +589,7 @@ def test_scattering_op_kept_for_latest_abs_time_only(coupled_engine):
 
 def test_integrate_fp_releases_first_step_semigroups(coupled_engine):
     dt = 0.01
-    # the step from 0 to dt reuses this semigroup at its last stage time
+    # a semigroup at a stage time is not kept past the run
     first = coupled_engine.ws.semigroup(1, full_selector(1), dt, "dual")
     ref = weakref.ref(first)
     del first

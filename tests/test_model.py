@@ -53,6 +53,17 @@ def test_load_tiny_config():
     np.testing.assert_allclose(config.profile.tracer0, [0.5, 0.5])
 
 
+def test_model_weights_built_once_and_read_only():
+    model = tiny_model()
+    w = model.weights
+    assert model.weights is w
+    np.testing.assert_array_equal(w, [1.0, 1.0])
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 2.0
+    # a copy with new fields builds its own weights
+    assert model.with_eps(0.5).weights is not w
+
+
 def test_load_rejects_bad_kernel_normalization():
     bad = TINY_TEXT.replace("kernel_tracer = uniform",
                             "kernel_tracer = 0.45 0.45 0.5 0.5")

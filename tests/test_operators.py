@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-import kinlab.operators
 from kinlab.model import tiny_model
 from kinlab.operators import (
     TRACER,
@@ -22,7 +21,7 @@ from kinlab.operators import (
 )
 from kinlab.sectors import SectorFunction, sector_inner
 
-from conftest import random_model
+from conftest import fp_stage_times, random_model
 
 
 def test_tiny_tracer_generator_matrix(tiny):
@@ -184,8 +183,7 @@ def test_adjointness_two_species(s):
 
 
 def test_semigroup_frees_gathered_and_superseded_values(tiny):
-    # the memo keeps every semigroup at the latest |t|; a lattice, started at
-    # t = 0, keeps its canonical key's latest value as well, and nothing older
+    # the memo keeps every semigroup at the latest |t| and nothing older
     ws = workspace_for(tiny)
     sel = full_selector(1)
     at_t = ws.semigroup(1, sel, 0.3, "dual")
@@ -196,8 +194,8 @@ def test_semigroup_frees_gathered_and_superseded_values(tiny):
     ws.semigroup(1, sel, 0.7, "dual")
     gc.collect()
     assert ref() is None
-    # a gathered semigroup and the canonical one it was gathered from, on the
-    # lattice 0, 0.35, 0.7, ...
+    # a gathered semigroup and the canonical one it was gathered from, after
+    # the stage times 0, 0.35 of an RK4 run: both go at the next |t|
     for t in (0.0, 0.35):
         ws.semigroup(2, frozenset({TRACER}), t, "dual")
     gathered = ws.semigroup(2, frozenset({TRACER}), 0.7, "dual")
@@ -205,21 +203,9 @@ def test_semigroup_frees_gathered_and_superseded_values(tiny):
     assert not np.shares_memory(gathered, source)
     refs = [weakref.ref(gathered), weakref.ref(source)]
     del gathered, source
-    ws.semigroup(1, sel, 0.9, "dual")
+    ws.semigroup(1, sel, 1.05, "dual")
     gc.collect()
-    assert refs[0]() is None
-    assert refs[1]() is not None
-    ws.semigroup(0, frozenset({TRACER}), 1.05, "dual")
-    gc.collect()
-    assert refs[1]() is None
-
-
-def _fp_grid(dt, steps):
-    """The stage times of `integrate_fp`, in its order and float arithmetic."""
-    t = 0.0
-    for _ in range(steps):
-        yield from (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)
-        t += dt
+    assert [r() for r in refs] == [None, None]
 
 
 def test_semigroup_memory_flat_over_a_time_sweep():
@@ -227,8 +213,8 @@ def test_semigroup_memory_flat_over_a_time_sweep():
     ws = workspace_for(model)
     s = 2
     selectors = _selectors(s)
-    # per direction: every value at one |t|, plus one step exponential per
-    # canonical key, none larger than the sector
+    # per direction: every value at one |t|, that is each selector's and each
+    # canonical key's it gathers from, none larger than the sector
     n_canonical = 2 * (s + 1) - 1
     bound = 2 * (len(selectors) + n_canonical) * 8 * 3 ** (2 * s + 2)
 
@@ -238,7 +224,7 @@ def test_semigroup_memory_flat_over_a_time_sweep():
                 for direction in ("forward", "dual"):
                     ws.semigroup(s, sel, t, direction)
 
-    grid = list(_fp_grid(0.01, 200))
+    grid = list(fp_stage_times(0.01, 200))
     sweep(grid[:8])
     tracemalloc.start()
     try:
@@ -250,47 +236,6 @@ def test_semigroup_memory_flat_over_a_time_sweep():
         tracemalloc.stop()
     assert late <= bound
     assert late - early <= 8 * 3 ** (2 * s + 2)
-
-
-@pytest.mark.parametrize("direction", ["forward", "dual"])
-@pytest.mark.parametrize("model, s", [
-    (random_model(44, n_points=3, n_max=3), 3),
-    (tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy"), 4),
-], ids=["random-3-state", "tiny-copy-kernel"])
-def test_lattice_drift_from_expm_over_1000_half_steps(model, s, direction):
-    ws = workspace_for(model)
-    gen = ws.generator(s, full_selector(s), direction).matrix
-    worst = 0.0
-    for i, t in enumerate(_fp_grid(0.01, 500)):
-        got = ws.semigroup(s, full_selector(s), t, direction)
-        if i % 20 == 19:
-            dense = expm(t * gen)
-            worst = max(worst, np.max(np.abs(got - dense)) / np.max(np.abs(dense)))
-    assert t == pytest.approx(5.0)
-    assert worst <= 1e-13
-
-
-def test_lattice_interleaved_with_negative_and_off_lattice_times(monkeypatch):
-    model = random_model(45, n_points=3, n_max=3)
-    ws = workspace_for(model)
-    sel = full_selector(2)
-    gen = ws.generator(2, sel, "dual").matrix
-    calls = []
-    counted = kinlab.operators.expm
-
-    def counting(a):
-        calls.append(a.shape[0])
-        return counted(a)
-
-    monkeypatch.setattr(kinlab.operators, "expm", counting)
-    grid = [(t, i < 2) for i, t in enumerate(_fp_grid(0.01, 40)) if i % 4 in (0, 1)]
-    off = [(t, True) for t in (-grid[9][0], 0.1234, -0.1234, grid[3][0], 0.5678)]
-    # t = 0 and the step h are the lattice's only expm calls
-    for t, calls_expm in grid[:10] + off[:4] + grid[10:20] + off[4:] + grid[20:]:
-        before = len(calls)
-        got = ws.semigroup(2, sel, t, "dual")
-        np.testing.assert_allclose(got, expm(t * gen), rtol=0, atol=1e-13)
-        assert len(calls) - before == calls_expm
 
 
 def _selectors(s):
