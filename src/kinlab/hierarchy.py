@@ -108,7 +108,8 @@ def dual_bbgky_solution(model: ModelSpec, initial: SequenceState, t: float, s: i
 
     B_(1+s)(t) = sum_{n<=s} sum over n-subsets X of the environment slots of
     A_(1+n)(t, {tracer, Y\\X}, X) applied to the initial (1+s-n)-sector
-    embedded on the complement slots.
+    embedded on the complement slots; an all-zero initial sector adds nothing
+    and is skipped.
     """
     if s > initial.n_max:
         raise ValueError("initial data missing for sector")
@@ -116,6 +117,8 @@ def dual_bbgky_solution(model: ModelSpec, initial: SequenceState, t: float, s: i
     dim_shape = (model.n_states,) * (s + 1)
     acc = np.zeros(dim_shape)
     for n in range(0, s + 1):
+        if not np.any(initial[s - n].data):
+            continue
         for removed in itertools.combinations(env, n):
             kept = tuple(j for j in env if j not in removed)
             merged = frozenset({TRACER} | set(kept))

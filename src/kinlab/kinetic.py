@@ -38,12 +38,7 @@ from .combinatorics import (
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec, ValidationError
 from .operators import TRACER, LatestTimeMemo, workspace_for
-from .sectors import (
-    SectorFunction,
-    SequenceState,
-    embed_with_slots,
-    integrate_env_slots,
-)
+from .sectors import SectorFunction, SequenceState, embed_with_slots
 
 __all__ = [
     "TracerDistribution",
@@ -97,11 +92,12 @@ class DualityReport:
 class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
-    Time-dependent operators are memoized for the latest |t| only, like the
-    model's semigroups.  The one other time-dependent state is the column
-    lattice of the correlated terms (`_columns`): per sector, its step and
-    its latest value.  Every operator needs correlation data up to its
-    sector, so the profile's n_max caps s + n (and s + K for functionals).
+    Time-dependent operators, and the duality lhs per observable, are
+    memoized for the latest |t| only, like the model's semigroups.  The one
+    other time-dependent state is the column lattice of the correlated terms
+    (`_columns`): per sector, its step and its latest index and value.  Every
+    operator needs correlation data up to its sector, so the profile's n_max
+    caps s + n (and s + K for functionals).
     """
 
     def __init__(self, model: ModelSpec, profile: CorrelationProfile):
@@ -112,8 +108,9 @@ class KineticEngine:
         self.ws = workspace_for(model)
         self._memo = LatestTimeMemo()
         self._sectors: dict = {}
-        self._cluster_weights: dict = {}
+        self._readouts: dict = {}
         self._lattice: dict = {}
+        self._collision = None
 
     def _check_cap(self, top: int, what: str) -> None:
         if top > self.profile.n_max:
@@ -247,35 +244,53 @@ class KineticEngine:
         """W_k(t) = e^(t Lambda_pi) P_k for every partition pi of the slots 0..k.
 
         Shape (Bell(k+1), dim_k, n_states).  The blocks of pi act on disjoint
-        slots, so their semigroups commute.  t = 0 starts the sector's time
-        lattice with W = P.  Its first positive time is the step h, and
-        E_pi = prod_B e^(h Lambda(B)) is built there once; a time within one
-        ulp of the latest lattice time plus h is then one batched product
-        E @ W, and the latest lattice time returns its stack again.  Every
-        other time, negative or off the lattice, takes its products from the
-        workspace, memoized for the latest |t|, and leaves the lattice as it
-        is.  Memory: two stacks per sector, E and W.
+        slots, so their semigroups commute.  The sector's time lattice holds
+        the times j * h with the index j of its latest stack: t = 0 restarts
+        it at j = 0 with W = P, and the first positive time after that is
+        the step h, where E_pi = prod_B e^(h Lambda(B)) is built once.  Then
+        t == (j + 1) * h is one batched product E @ W, and t == j * h returns
+        the latest stack again.  Every other time, negative or off the
+        lattice, takes its products from the workspace, memoized for the
+        latest |t|, and leaves the lattice as it is.  Memory: two stacks per
+        sector, E and W.
         """
         labels, plan, start = self._sector(k)
         if t == 0:
-            _, _, h, step = self._lattice.get(k, (0.0, start, None, None))
-            self._lattice[k] = (0.0, start, h, step)
+            _, _, h, step = self._lattice.get(k, (0, start, None, None))
+            self._lattice[k] = (0, start, h, step)
             return start
         if t > 0 and k in self._lattice:
-            t0, cols, h, step = self._lattice[k]
-            if t == t0:
-                return cols
-            if t0 == 0 and t != h:
+            j, cols, h, step = self._lattice[k]
+            if j == 0 and t != h:
                 h = t
                 step = np.stack([term for _, term in
                                  partition_products(self.model, t, labels, k, "dual", None)])
-            if abs(t - t0 - h) <= math.ulp(t):
+            if t == j * h:
+                return cols
+            if t == (j + 1) * h:
                 cols = np.matmul(step, cols)
-                self._lattice[k] = (t, cols, h, step)
+                self._lattice[k] = (j + 1, cols, h, step)
                 return cols
         return self._memo.get(t, ("columns", k), lambda: np.stack([
             term for _, term in
             partition_products(self.model, t, labels, k, "dual", start[0])]))
+
+    def _readout(self, s: int, n: int):
+        """The fixed vectors that read the (s, n) correlated term off W_(s+n).
+
+        a holds mu(pi) / n! for every slot partition pi in which 0..s share a
+        block and 0 for the others; w_env is the n-th Kronecker power of the
+        model weights, the quadrature over the environment slots s+1..s+n.
+        Built once per (s, n): Bell(s+n+1) + n_states^n floats.
+        """
+        if (s, n) not in self._readouts:
+            cluster = frozenset(range(s + 1))
+            _, plan, _ = self._sector(s + n)
+            a = np.array([mu if any(cluster <= union for union in unions) else 0.0
+                          for mu, unions in plan]) / math.factorial(n)
+            w_env = _env_weights(self.model.weights, n)
+            self._readouts[(s, n)] = (a, w_env)
+        return self._readouts[(s, n)]
 
     def _correlated_term(self, t: float, s: int, n: int) -> np.ndarray:
         """Order-n term of the correlated (1+s)-sector series, as a map of tracer data.
@@ -284,23 +299,16 @@ class KineticEngine:
         s+1..s+n, applied to the dressed tracer basis P_(s+n), is the
         Moebius-weighted sum of the columns W_(s+n)(t) over the slot
         partitions in which 0..s share a block; the environment slots above
-        s are then integrated out.  Returns shape (n_states,)*(s+1) +
-        (n_states,): its last axis takes the tracer data (`@ f0`).
+        s are then integrated out.  Both are linear and fixed in time, so the
+        term is two products with the `_readout` vectors.  Returns shape
+        (n_states,)*(s+1) + (n_states,): its last axis takes the tracer data
+        (`@ f0`).
         """
-        sector = s + n
-        if (s, n) not in self._cluster_weights:
-            cluster = frozenset(range(s + 1))
-            _, plan, _ = self._sector(sector)
-            self._cluster_weights[(s, n)] = [
-                (i, mu) for i, (mu, unions) in enumerate(plan)
-                if any(cluster <= union for union in unions)]
-        cols = self._columns(t, sector)
-        total = np.zeros(cols.shape[1:])
-        for i, mu in self._cluster_weights[(s, n)]:
-            total += mu * cols[i]
+        a, w_env = self._readout(s, n)
         n_states = self.model.n_states
-        total = total.reshape((n_states,) * (sector + 1) + (n_states,))
-        return _integrate_env(total, self.model.weights, s) / math.factorial(n)
+        cols = self._columns(t, s + n).reshape(len(a), -1)
+        total = (a @ cols).reshape(n_states ** (s + 1), n_states ** n, n_states)
+        return np.matmul(w_env, total).reshape((n_states,) * (s + 1) + (n_states,))
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
@@ -383,11 +391,14 @@ class KineticEngine:
         The dual interaction block on the pair sector, its environment slot
         integrated against the weights, applied to F2_matrix, which maps a
         tracer vector to the flattened pair sector; the columns of the
-        result all carry zero total mass.
+        result all carry zero total mass.  The integrated block, n_states x
+        n_states^2, is built once per engine.
         """
-        n = self.model.n_states
-        block = self.ws.term(1, "int", (TRACER, 1), "dual").reshape(n, n, n * n)
-        return _integrate_env(block, self.model.weights, 0) @ F2_matrix
+        if self._collision is None:
+            n = self.model.n_states
+            block = self.ws.term(1, "int", (TRACER, 1), "dual").reshape(n, n, n * n)
+            self._collision = _integrate_env(block, self.model.weights, 0)
+        return self._collision @ F2_matrix
 
     def rhs_matrix(self, t: float, order: int, route: str = "resolvent") -> np.ndarray:
         """Kinetic right-hand side as a matrix on the tracer distribution.
@@ -421,11 +432,14 @@ class KineticEngine:
         The non-Markovian right-hand side depends on absolute time through
         the cumulant operators, so stage operators are rebuilt per step; the
         memo keeps the latest stage time, which the next stage or step reuses.
-        The stage times 0, dt/2, dt, ... are the engine's column lattice:
-        past the first half step, the correlated terms at a new time are one
-        batched product per sector, with no semigroup built.
-        A step with mass drift beyond 1e-6 raises StepRejected.  dt must divide
-        t_max to a relative 1e-9, so the trajectory ends at t_max.
+        The stage times are j * h with h = dt/2, computed from the index j,
+        and they are the engine's column lattice: past the first half step,
+        the correlated terms at a new time are one batched product per
+        sector, with no semigroup built.  Step i ends at (2i) * h, which is
+        i * dt exactly.  A step with mass drift beyond 1e-6 raises
+        StepRejected.  dt must divide t_max to a relative 1e-9, so the
+        trajectory ends at steps * dt, which is t_max itself unless that
+        product rounds elsewhere.
         """
         if not t_max > 0:
             raise ValidationError("t_max: must be > 0")
@@ -435,24 +449,24 @@ class KineticEngine:
         steps = int(round(t_max / dt))
         if abs(steps * dt - t_max) > 1e-9 * abs(t_max):
             raise ValidationError(f"dt: {dt!r} does not divide t_max {t_max!r}")
+        h = 0.5 * dt
         f = np.asarray(f0, dtype=float).copy()
         out = [TracerDistribution(values=f.copy(), t=0.0, mass_drift=0.0)]
-        t = 0.0
-        for _ in range(steps):
+        for i in range(steps):
+            t, t_half, t_next = (2 * i) * h, (2 * i + 1) * h, (2 * i + 2) * h
             k1 = self.fp_rhs(f, t, order, route=route)
-            k2 = self.fp_rhs(f + 0.5 * dt * k1, t + 0.5 * dt, order, route=route)
-            k3 = self.fp_rhs(f + 0.5 * dt * k2, t + 0.5 * dt, order, route=route)
-            k4 = self.fp_rhs(f + dt * k3, t + dt, order, route=route)
+            k2 = self.fp_rhs(f + 0.5 * dt * k1, t_half, order, route=route)
+            k3 = self.fp_rhs(f + 0.5 * dt * k2, t_half, order, route=route)
+            k4 = self.fp_rhs(f + dt * k3, t_next, order, route=route)
             f_new = f + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             drift = float(np.dot(w, f_new)) - 1.0
             if abs(drift) > 1e-6:
                 raise StepRejected(
-                    f"kinetic step rejected at t={t + dt:.6f}: mass drift {drift:.3e} "
+                    f"kinetic step rejected at t={t_next:.6f}: mass drift {drift:.3e} "
                     "(dt too large or series inconsistency)"
                 )
-            t += dt
             f = f_new
-            out.append(TracerDistribution(values=f.copy(), t=t, mass_drift=drift))
+            out.append(TracerDistribution(values=f.copy(), t=t_next, mass_drift=drift))
         return out
 
     # -- duality -----------------------------------------------------------------
@@ -471,9 +485,11 @@ class KineticEngine:
         n_max = model.n_max
         if initial_reduced.n_max < n_max:
             raise ValueError("observable sequence shorter than n_max")
-        solved = SequenceState(tuple(dual_bbgky_solution(model, initial_reduced, t, s)
-                                     for s in range(n_max + 1)), kind="observable")
-        lhs = solved.pair(self.profile.chain_sequence(n_max), w)
+        # the lhs depends on neither order nor route: one build per (observable, t)
+        key = tuple(initial_reduced[s].data.tobytes() for s in range(n_max + 1))
+        lhs = self._memo.get(t, ("lhs", key), lambda: SequenceState(tuple(
+            dual_bbgky_solution(model, initial_reduced, t, s) for s in range(n_max + 1)),
+            kind="observable").pair(self.profile.chain_sequence(n_max), w))
         f1 = self.reduced_distribution(t, n_max).values
         # a functional is built only where the observable sector is nonzero
         state = [SectorFunction(0, f1)] + [
@@ -484,9 +500,17 @@ class KineticEngine:
         return DualityReport(t=t, order=order, eps=model.eps, lhs=lhs, rhs=rhs)
 
 
+def _env_weights(weights: np.ndarray, n: int) -> np.ndarray:
+    """w (x) ... (x) w with n factors: the quadrature weights of n environment slots."""
+    return functools.reduce(np.kron, (weights,) * n, np.ones(1))
+
+
 def _integrate_env(cols: np.ndarray, weights: np.ndarray, s: int) -> np.ndarray:
-    """`integrate_env_slots` down to 1+s slots of a block whose last axis holds columns."""
-    return np.moveaxis(integrate_env_slots(np.moveaxis(cols, -1, 0), weights, s + 1), 0, -1)
+    """Integrate the environment slots above s out of a block whose last axis holds columns."""
+    n_states, m = cols.shape[0], cols.shape[-1]
+    w_env = _env_weights(weights, cols.ndim - 2 - s)
+    out = np.matmul(w_env, cols.reshape(n_states ** (s + 1), w_env.size, m))
+    return out.reshape((n_states,) * (s + 1) + (m,))
 
 
 def _compositions_up_to(total: int, k: int):

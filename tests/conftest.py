@@ -35,10 +35,9 @@ def random_model(seed, n_points=3, m=1, eps=0.3, n_max=2, unit_weights=False):
 
 def fp_stage_times(dt, steps):
     """The stage times of `integrate_fp`, in its order and float arithmetic."""
-    t = 0.0
-    for _ in range(steps):
-        yield from (t, t + 0.5 * dt, t + 0.5 * dt, t + dt)
-        t += dt
+    h = 0.5 * dt
+    for i in range(steps):
+        yield from ((2 * i) * h, (2 * i + 1) * h, (2 * i + 1) * h, (2 * i + 2) * h)
 
 
 def correlated_profile(model, gamma=0.2, tracer0=(0.7, 0.3), env1=(0.65, 0.35), depth=None):

@@ -250,6 +250,27 @@ def test_additive_solution_agrees_with_general_expansion(s):
     np.testing.assert_allclose(direct.data, general.data, atol=1e-11)
 
 
+def test_dual_bbgky_solution_skips_zero_initial_sectors(monkeypatch):
+    import kinlab.hierarchy
+    model = tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=3)
+    o_t, o_e = np.array([0.3, -0.7]), np.array([1.0, -1.0])
+    b0 = additive_reduced_initial(o_t, o_e, 3)
+    apply = kinlab.hierarchy.cumulant_apply
+    applied = []
+
+    def counted(*args):
+        applied.append(len(args[2]))
+        return apply(*args)
+
+    monkeypatch.setattr(kinlab.hierarchy, "cumulant_apply", counted)
+    out = dual_bbgky_solution(model, b0, 0.7, 3)
+    # sectors 2 and 3 of b0 are zero: only the 3 + 1 subsets X with
+    # |X| = 2 and 3 reach a cumulant, of 3 and 4 labels
+    assert sorted(applied) == [3, 3, 3, 4]
+    direct = additive_solution(model, o_t, o_e, 0.7, 3)
+    np.testing.assert_allclose(out.data, direct.data, atol=1e-11)
+
+
 def test_additive_solution_s0(tiny_coupled):
     from kinlab.operators import build_forward_generator, evolve, TRACER
     o_t = np.array([1.0, -1.0])

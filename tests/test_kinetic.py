@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinlab.kinetic
 import kinlab.operators
-from kinlab.combinatorics import cumulant_matrix
+from kinlab.combinatorics import cumulant_matrix, partition_plan, partition_products
 from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
 from kinlab.model import CorrelationProfile, ValidationError, tiny_model
 from kinlab.operators import TRACER, full_selector, workspace_for
-from kinlab.sectors import embed_with_slots, sector_inner
+from kinlab.sectors import embed_with_slots, integrate_env_slots, sector_inner
 
 from conftest import correlated_profile, fp_stage_times, random_model
 
@@ -486,7 +488,9 @@ def test_column_lattice_drift_over_1000_half_steps(case):
         if i % 20 == 19:
             for a, b in zip(got, _direct_values(model, profile, t)):
                 worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
-    assert t == pytest.approx(5.0)
+    # the index lattice ends at t_max itself, after 1000 products per sector
+    assert t == 5.0
+    assert {j for j, *_ in eng._lattice.values()} == {1000}
     assert worst <= 1e-12
 
 
@@ -533,6 +537,8 @@ def test_column_lattice_interleaved_with_negative_and_off_lattice_times(monkeypa
             assert (len(calls) == before) == on_lattice
         for a, b in zip(got, _direct_values(model, profile, t)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+    # off-lattice times left the index where the lattice times put it
+    assert {j for j, *_ in eng._lattice.values()} == {len(grid) - 1}
 
 
 def test_column_lattice_memory_flat_in_the_step_count():
@@ -557,6 +563,107 @@ def test_column_lattice_memory_flat_in_the_step_count():
     held = sum(step.nbytes + cols.nbytes for _, cols, _, step in eng._lattice.values())
     assert held == 8 * sum(bell * (3 ** (2 * k + 2) + 3 ** (k + 2))
                            for k, bell in enumerate((1, 2, 5, 15)))
+    # the readouts Bell(s+n+1) + n_states^n floats per (s, n): the series
+    # terms (0, 0..3) and the pair functional's (1, 0..2); the collision
+    # block n_states x n_states^2
+    bell = (1, 1, 2, 5, 15)
+    readouts = sum(a.nbytes + w_env.nbytes for a, w_env in eng._readouts.values())
+    assert sorted(eng._readouts) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
+    assert readouts == 8 * sum(bell[s + n + 1] + 3 ** n for s, n in eng._readouts)
+    assert eng._collision.shape == (3, 9)
+
+
+def _moebius_loop_term(model, profile, t, s, n):
+    """The (s, n) correlated term summed partition by partition, as a reference.
+
+    The dual cumulant of the cluster {tracer, 1..s} and the singles applied
+    to the dressed tracer basis, its environment slots above s integrated
+    out one by one, divided by n!.
+    """
+    k, n_states = s + n, model.n_states
+    labels = [frozenset({j}) for j in range(k + 1)]
+    dress = profile.g[k] * (profile.env_reduced[k][np.newaxis, ...] if k > 0 else 1.0)
+    tracer_axis = np.arange(n_states).reshape((n_states,) + (1,) * k)
+    basis = np.stack([dress * (tracer_axis == u) for u in range(n_states)], axis=-1)
+    cluster = frozenset(range(s + 1))
+    total = 0.0
+    for (_, unions), (mu, term) in zip(
+            partition_plan(model, labels),
+            partition_products(model, t, labels, k, "dual", basis.reshape(-1, n_states))):
+        if any(cluster <= union for union in unions):
+            total = total + mu * term
+    total = np.moveaxis(total.reshape(basis.shape), -1, 0)
+    return np.moveaxis(integrate_env_slots(total, model.weights, s + 1), 0, -1) / math.factorial(n)
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_correlated_term_matches_the_moebius_loop(case):
+    model, profile = LATTICE_CASES[case]()
+    eng = engine_for(model, profile)
+    h = 0.005
+    lattice = [j * h for j in range(4)]
+    times = lattice + [-0.37, 0.123] + [4 * h, 5 * h]
+    for t in times:
+        for s in range(model.n_max + 1):
+            # relative to the series the term belongs to: a higher-order term
+            # is a cancellation of O(1) columns, exactly 0 at t = 0
+            scale = np.max(np.abs(_moebius_loop_term(model, profile, t, s, 0)))
+            for n in range(model.n_max + 1 - s):
+                got = eng._correlated_term(t, s, n)
+                ref = _moebius_loop_term(model, profile, t, s, n)
+                assert got.shape == ref.shape == (model.n_states,) * (s + 2)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    # the lattice times were read off the lattice, the others left it alone
+    assert {j for j, *_ in eng._lattice.values()} == {5}
+
+
+def test_fp_endpoint_is_read_off_the_lattice(monkeypatch):
+    model, profile = _fp_kinetic_case()
+    eng = engine_for(model, profile)
+    expm = kinlab.operators.expm
+    fp_rhs = KineticEngine.fp_rhs
+    expm_calls, at_rhs = [], []
+
+    def counted_expm(a):
+        expm_calls.append(a.shape[0])
+        return expm(a)
+
+    def stamped(*args, **kwargs):
+        at_rhs.append(len(expm_calls))
+        return fp_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(kinlab.operators, "expm", counted_expm)
+    monkeypatch.setattr(KineticEngine, "fp_rhs", stamped)
+    traj = eng.integrate_fp(profile.tracer0, 0.5, 0.01, 3)
+    eng.reduced_distribution(0.5, 3)
+    assert len(at_rhs) == 4 * 50
+    # every expm call falls in the first step; the endpoint builds nothing
+    assert expm_calls and at_rhs[4] == len(expm_calls)
+    assert [td.t for td in traj] == [i * 0.01 for i in range(51)]
+    assert traj[-1].t == 0.5
+
+
+def test_duality_lhs_built_once_per_observable_and_time(monkeypatch):
+    model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=3)
+    eng = engine_for(model, correlated_profile(model, depth=4))
+    b0 = additive_reduced_initial(np.array([1.0, 0.0]), np.array([1.0, -1.0]), 3)
+    solution = kinlab.kinetic.dual_bbgky_solution
+    solved = []
+
+    def counted(*args):
+        solved.append(args[3])
+        return solution(*args)
+
+    monkeypatch.setattr(kinlab.kinetic, "dual_bbgky_solution", counted)
+    reports = [eng.duality_check(b0, 0.25, order, route=route)
+               for order in (0, 1) for route in ("resolvent", "scattering")]
+    assert solved == list(range(model.n_max + 1))
+    assert len({rep.lhs for rep in reports}) == 1
+    # a new time, or another observable, builds its own
+    eng.duality_check(b0, -0.25, 1)
+    b1 = additive_reduced_initial(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 3)
+    eng.duality_check(b1, -0.25, 1)
+    assert len(solved) == 3 * (model.n_max + 1)
 
 
 def test_series_terms_decay_geometrically_for_small_data():
