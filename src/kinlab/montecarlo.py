@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# loaded with kinlab, so that the first draw does not pay for the import
+import numpy.random  # noqa: F401
 
 from .model import CorrelationProfile, ModelSpec, ValidationError, build_initial_state
 from .sectors import SequenceState

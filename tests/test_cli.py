@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import kinlab.operators
 from kinlab.cli import main
 from kinlab.kinetic import KineticEngine
 
@@ -233,3 +236,44 @@ def test_fp_step_that_does_not_divide_t_max_exits_1(config_path, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: dt")
     assert "Traceback" not in err
+
+
+def test_fp_endpoint_check_reads_the_lattice(config_path, tmp_path, monkeypatch):
+    # t_max 0.7 with dt 0.01 ends at 70 * 0.01 = 0.7000000000000001: the
+    # endpoint check evaluates the series there, on the column lattice, and
+    # builds no exponential after the trajectory
+    expm = kinlab.operators.expm
+    calls = []
+
+    def counted_expm(a):
+        calls.append(len(a))
+        return expm(a)
+
+    monkeypatch.setattr(kinlab.operators, "expm", counted_expm)
+    integrate_fp = KineticEngine.integrate_fp
+    during_run = []
+
+    def stamped(*args, **kwargs):
+        traj = integrate_fp(*args, **kwargs)
+        during_run.append(len(calls))
+        return traj
+
+    monkeypatch.setattr(KineticEngine, "integrate_fp", stamped)
+    out = str(tmp_path / "out")
+    code = run_cli("run", "--config", config_path, "--kind", "fp-trajectory",
+                   "--out", out, "--t-max", "0.7", "--dt", "0.01")
+    assert code == 0
+    assert during_run == [len(calls)]
+    (endpoint,) = [c for c in read_json(os.path.join(out, "metadata.json"))["checks"]
+                   if c["name"] == "fp_endpoint_vs_series"]
+    assert endpoint["pass"]
+
+
+def test_import_loads_no_scipy_and_numpy_random():
+    code = ("import sys, kinlab; random = 'numpy.random' in sys.modules; "
+            "import kinlab.cli; "
+            "print(random, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "[]"]

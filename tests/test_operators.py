@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from kinlab.model import tiny_model
 from kinlab.operators import (
@@ -16,6 +15,7 @@ from kinlab.operators import (
     build_dual_generator,
     build_forward_generator,
     evolve,
+    expm,
     full_selector,
     workspace_for,
 )
@@ -249,8 +249,8 @@ def _selectors(s):
     (tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy"), 4),
 ], ids=["random-3-state", "random-2-state", "tiny-copy-kernel"])
 def test_semigroup_provider_matches_dense_expm(model, top):
-    # every selector, both directions, t and -t, against a dense expm of
-    # the generator on the whole sector (what `evolve` computes)
+    # every selector, both directions, t and -t, against kinlab's dense expm
+    # of the generator on the whole sector (what `evolve` computes)
     assert np.min(model.rate_env2) > 0
     ws = workspace_for(model)
     build = {"forward": build_forward_generator, "dual": build_dual_generator}
@@ -261,6 +261,55 @@ def test_semigroup_provider_matches_dense_expm(model, top):
                 for t in (0.6, -0.6):
                     np.testing.assert_allclose(ws.semigroup(s, sel, t, direction),
                                                expm(t * gen), rtol=0, atol=1e-13)
+
+
+def _longdouble_expm(a):
+    """e^a by scaling to norm 1/4, Taylor to convergence and squaring, in long double."""
+    a = a.astype(np.longdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, int(np.ceil(np.log2(norm / 0.25)))) if norm > 0 else 0
+    a = a / np.longdouble(2) ** s
+    term = np.eye(len(a), dtype=np.longdouble)
+    out = term.copy()
+    for k in range(1, 40):
+        term = term @ a / k
+        out += term
+        if np.abs(term).max() <= 1e-22 * np.abs(out).max():
+            break
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble has no more precision than float64 here")
+def test_expm_matches_a_long_double_reference():
+    # generators of whole sectors up to dim 81, both directions, forward and
+    # backward in time; the bound was fixed before measuring
+    cases = [(random_model(2, n_points=3), 3),
+             (tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy"), 4)]
+    build = (build_forward_generator, build_dual_generator)
+    for model, top in cases:
+        for s in range(top + 1):
+            for b in build:
+                gen = b(model, s, full_selector(s)).matrix
+                for t in (0.6, -0.6, -2.0):
+                    ref = _longdouble_expm(t * gen)
+                    err = np.max(np.abs(expm(t * gen) - ref))
+                    assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_expm_edges():
+    gen = build_dual_generator(random_model(2, n_points=3), 2, full_selector(2)).matrix
+    np.testing.assert_array_equal(expm(0.0 * gen), np.eye(27))
+    np.testing.assert_array_equal(expm(np.array([[0.7]])), [[np.exp(0.7)]])
+    for bad in (np.nan, np.inf):
+        a = gen.copy()
+        a[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(a)
+    with pytest.raises(ValueError, match="square"):
+        expm(np.zeros((2, 3)))
 
 
 def test_semigroup_rejects_bad_selector(tiny):
