@@ -50,17 +50,16 @@ _TAYLOR = ((6, 3, 9.07e-3), (9, 3, 8.96e-2), (12, 4, 3.00e-1),
            (16, 4, 7.81e-1), (20, 5, 1.44), (25, 5, 2.43))
 
 
-def _taylor_blocks(m: int, p: int):
-    """Row j: the coefficients of I, A, ..., A^p in block j of T_m, and their degrees.
+def _taylor_blocks(m: int, p: int) -> np.ndarray:
+    """Row j: the coefficients of I, A, ..., A^p in block j of T_m.
 
     T_m(A) = B_0 + A^p (B_1 + ... + A^p B_(q-1)), B_j = sum_(i<p) A^i / (jp+i)!,
-    with A^m / m! in the last block.  Scaling entry k by 2^(-s degree_k)
-    gives the blocks of T_m(A / 2^s).
+    with A^m / m! in the last block.
     """
     degree = np.arange(p + 1) + p * np.arange(m // p)[:, None]
     coef = np.array([1 / math.factorial(k) for k in degree.flat]).reshape(degree.shape)
     coef[:-1, -1] = 0.0
-    return coef, degree
+    return coef
 
 
 _TAYLOR_BLOCKS = {m: _taylor_blocks(m, p) for m, p, _ in _TAYLOR}
@@ -69,13 +68,19 @@ _TAYLOR_BLOCKS = {m: _taylor_blocks(m, p) for m, p, _ in _TAYLOR}
 def expm(a: np.ndarray) -> np.ndarray:
     """e^a of a square float matrix: Taylor polynomial, scaling and squaring.
 
-    A = a - mu I with mu = tr(a)/n, and e^a = e^mu e^A.  The degree m is the
-    smallest with alpha <= theta_m, where alpha = max(||A^2||^(1/2),
-    ||A^3||^(1/3)) <= ||A|| in the infinity norm (Al-Mohy & Higham 2009,
-    Thm 4.2); past theta_25, m = 25 and s squarings bring alpha / 2^s below
-    it.  T_m(A / 2^s) is evaluated by Paterson-Stockmeyer: one GEMM forms
-    every block from I, A, ..., A^p, with the 2^-s scaling exact in its
-    coefficients, and Horner in A^p joins them.  Then s squarings.
+    A = a - mu I with mu = tr(a)/n.  The degree m is the smallest with
+    alpha <= theta_m, where alpha = max(||A^2||^(1/2), ||A^3||^(1/3)) <= ||A||
+    in the infinity norm (Al-Mohy & Higham 2009, Thm 4.2); past theta_25,
+    m = 25 and s squarings bring alpha / 2^s below it.  The powers I, A, ...,
+    A^p are scaled by 2^(-sk) (exact), one GEMM forms every Paterson-Stockmeyer
+    block from them, times e^(mu / 2^s), and Horner in A^p joins the blocks
+    into e^(a / 2^s); s squarings give e^a.  Folding e^mu in before the
+    squarings keeps every intermediate at its true size: for a generator at
+    a long forward time, e^A alone would overflow while e^a is bounded.
+
+    Raises ValueError on a non-square or non-finite input and
+    numpy.linalg.LinAlgError (a ValueError) when the powers of A or the
+    result overflow.
     """
     n = len(a)
     if a.shape != (n, n):
@@ -93,16 +98,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     np.dot(powers[1], powers[1], out=powers[2])
     np.dot(powers[2], powers[1], out=powers[3])
     d2, d3 = np.abs(powers[2:4]).sum(axis=2).max(axis=1).tolist()
+    if not math.isfinite(d2 + d3):
+        raise np.linalg.LinAlgError("expm: the powers of the input overflow")
     alpha = max(d2 ** (1 / 2), d3 ** (1 / 3))
     m, p, theta = next((row for row in _TAYLOR if alpha <= row[2]), _TAYLOR[-1])
     s = math.ceil(math.log2(alpha / theta)) if alpha > theta else 0
+    if s:
+        for k in (1, 2, 3):
+            np.ldexp(powers[k], -s * k, out=powers[k])
     if p > 3:
         np.dot(powers[2], powers[2], out=powers[4])
     if p > 4:
         np.dot(powers[4], powers[1], out=powers[5])
-    coef, degree = _TAYLOR_BLOCKS[m]
-    if s:
-        coef = np.ldexp(coef, -s * degree)
+    try:
+        coef = _TAYLOR_BLOCKS[m] * math.exp(mu / 2 ** s)
+    except OverflowError:
+        raise np.linalg.LinAlgError("expm: the result overflows") from None
     q = len(coef)
     blocks = np.empty((q + 1, n, n))  # B_0, ..., B_(q-1) and a product buffer
     np.dot(coef, flat[:p + 1], out=blocks[:q].reshape(q, n * n))
@@ -114,7 +125,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         np.dot(r, r, out=tmp)
         r, tmp = tmp, r
-    return r * math.exp(mu)
+    if not np.isfinite(r).all():
+        raise np.linalg.LinAlgError("expm: the result overflows")
+    return r.copy()  # r views `blocks`; a cached result must not keep them alive
 
 
 @dataclass(frozen=True)

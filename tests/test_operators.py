@@ -299,6 +299,8 @@ def test_expm_matches_a_long_double_reference():
                     assert err <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_expm_edges():
     gen = build_dual_generator(random_model(2, n_points=3), 2, full_selector(2)).matrix
     np.testing.assert_array_equal(expm(0.0 * gen), np.eye(27))
@@ -310,6 +312,23 @@ def test_expm_edges():
             expm(a)
     with pytest.raises(ValueError, match="square"):
         expm(np.zeros((2, 3)))
+    # overflow of the powers (alpha = inf) or of e^a is a LinAlgError, which
+    # the CLI reports as a numerical failure
+    with pytest.raises(np.linalg.LinAlgError, match="overflow"):
+        expm(1e200 * gen)
+    with pytest.raises(np.linalg.LinAlgError, match="overflow"):
+        expm(1000.0 * np.eye(3))
+
+
+def test_expm_stays_bounded_at_long_forward_times(tiny):
+    # e^(t L) of a forward generator tends to a stochastic projector; the
+    # trace-shifted e^A alone would overflow at t = 2000
+    gen = build_forward_generator(tiny, 0, full_selector(0)).matrix
+    np.testing.assert_allclose(expm(2000.0 * gen), np.full((2, 2), 0.5), rtol=0, atol=1e-13)
+    gen = build_forward_generator(random_model(2, n_points=3), 2, full_selector(2)).matrix
+    e = expm(2000.0 * gen)
+    assert np.isfinite(e).all() and e.min() > -1e-12
+    np.testing.assert_allclose(e.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_semigroup_rejects_bad_selector(tiny):
