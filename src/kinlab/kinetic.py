@@ -9,7 +9,8 @@ side closes the evolution with a collision integral over the pair functional.
 Two routes compute the state functionals:
 
 * 'scattering' follows the generating-operator expansion literally
-  (scattering cumulants, inverse one-entity semigroups, dissection sums);
+  (scattering cumulants, inverse one-entity semigroups, dissection sums),
+  applied right to left to the functional-input columns;
 * 'resolvent' reconstructs the initial tracer data by inverting the
   truncated series map and re-expands the correlated sectors, which makes
   the kinetic-equation identity exact at matched truncation order.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import (
-    cumulant_matrix,
+    cumulant_apply,
     enumerate_dissections,
     partition_plan,
     partition_products,
@@ -92,17 +93,19 @@ class DualityReport:
 class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
-    Time-dependent operators, and the duality lhs per observable, are
-    memoized for the latest |t| only, like the model's semigroups.  The one
-    other time-dependent state is the column lattice of the correlated terms
-    (`_columns`): per sector, its step and its latest index and value.  Every
-    operator needs correlation data up to its sector, so the profile's n_max
-    caps s + n (and s + K for functionals).
+    Series terms, off-lattice column stacks, kinetic right-hand sides and
+    the duality lhs per observable are memoized for the latest |t| only,
+    like the model's semigroups.  The scattering route's operators act on
+    columns and keep nothing.  The one other time-dependent state is the
+    column lattice of the correlated terms (`_columns`): per sector, its
+    step and its latest index and value.  Every operator needs correlation
+    data up to its sector, so the profile's n_max caps s + n (and s + K for
+    functionals).
     """
 
     def __init__(self, model: ModelSpec, profile: CorrelationProfile):
         if profile.n_max < model.n_max:
-            raise ValueError("profile carries fewer correlation sectors than the model n_max")
+            raise ValidationError("profile: fewer correlation sectors than model n_max")
         self.model = model
         self.profile = profile
         self.ws = workspace_for(model)
@@ -119,106 +122,73 @@ class KineticEngine:
 
     # -- building blocks ---------------------------------------------------
 
-    def _one_slot_inverse(self, sector: int, slot: int, t: float) -> np.ndarray:
-        return self.ws.semigroup(sector, frozenset({slot}), -t, "dual")
+    def scattering_op(self, t: float, cluster_slots, single_slots, sector: int,
+                      x: np.ndarray) -> np.ndarray:
+        """Scattering cumulant on the (1+sector)-slot space, applied to the columns x.
 
-    def _g_embedded(self, cluster_slots, single_slots, sector: int) -> np.ndarray:
-        """Correlation factor for a scattering cumulant on the working sector.
-
-        Tracer-anchored clusters multiply by g on their slots; clusters
-        anchored at an environment entity carry no correlation data.
-        """
-        cluster = tuple(cluster_slots)
-        singles = tuple(single_slots)
-        n = self.model.n_states
-        if TRACER not in cluster:
-            return np.ones((n,) * (sector + 1))
-        env_slots = tuple(sl for sl in cluster if sl != TRACER) + singles
-        g = self.profile.g[len(env_slots)]
-        return embed_with_slots(g, sector, env_slots)
-
-    def scattering_op(self, t: float, cluster_slots, single_slots, sector: int) -> np.ndarray:
-        """Scattering cumulant on the (1+sector)-slot space.
-
-        Dual cumulant of the cluster and singles, composed with
-        multiplication by the initial correlation on those slots and the
-        inverse free one-entity evolutions of every participating slot.
+        The inverse free one-entity evolutions of every participating slot
+        act first, then multiplication by the initial correlation g on those
+        slots (tracer-anchored clusters only: one anchored at an environment
+        entity carries no correlation data), then the dual cumulant of the
+        cluster and singles.  x is dim x m; the operator is its value at I.
         """
         cluster = frozenset(cluster_slots)
         singles = tuple(sorted(single_slots))
         self._check_cap(sector, "scattering cumulant")
+        for slot in sorted(cluster | set(singles), reverse=True):
+            x = self.ws.semigroup(sector, frozenset({slot}), -t, "dual") @ x
+        if TRACER in cluster:
+            env_slots = tuple(sorted(cluster - {TRACER})) + singles
+            g = embed_with_slots(self.profile.g[len(env_slots)], sector, env_slots)
+            x = g.reshape(-1, 1) * x
+        labels = [cluster] + [frozenset({j}) for j in singles]
+        return cumulant_apply(self.model, t, labels, sector, "dual", x)
 
-        def build():
-            labels = [cluster] + [frozenset({j}) for j in singles]
-            op = cumulant_matrix(self.model, t, labels, sector, "dual")
-            op = op * self._g_embedded(cluster, singles, sector).reshape(-1)
-            for slot in sorted(cluster | set(singles)):
-                op = op @ self._one_slot_inverse(sector, slot, t)
-            return op
-
-        return self._memo.get(t, ("scattering", cluster, singles, sector), build)
-
-    def generating_op(self, t: float, s: int, n: int) -> np.ndarray:
-        """Generating operator of order 1+n for the (1+s)-sector functional.
+    def generating_op(self, t: float, s: int, n: int, x: np.ndarray) -> np.ndarray:
+        """Generating operator of order 1+n for the (1+s)-sector functional, applied to x.
 
         n = 0 is the plain scattering cumulant; n >= 1 subtracts products of
         lower scattering cumulants over dissections of the peeled slots,
-        each block anchored at a distinct lower slot.
+        each block anchored at a distinct lower slot.  The products act on
+        the columns x right to left: the last peeled stage first, the
+        leading cumulant last.
         """
         sector = s + n
         self._check_cap(sector, "generating operator")
         cluster = tuple(range(0, s + 1))
         if n == 0:
-            return self.scattering_op(t, cluster, (), sector)
+            return self.scattering_op(t, cluster, (), sector, x)
+        total = 0.0
+        for k in range(0, n + 1):
+            for comps in _compositions_up_to(n, k):
+                rem = n - sum(comps)
+                # stage j peels the slots r_j+1..r_j+n_j, r_j = s + n - (n_1 + ... + n_j)
+                term, r_j = x, s + rem
+                for nj in reversed(comps):
+                    term = self._stage_factor(t, range(r_j + 1, r_j + nj + 1), r_j, sector, term)
+                    r_j += nj
+                term = self.scattering_op(t, cluster, range(s + 1, s + rem + 1), sector, term)
+                total = total + ((-1.0) ** k / math.factorial(rem)) * term
+        return math.factorial(n) * total
 
-        def build():
-            dim = self.model.n_states ** (sector + 1)
-            total = np.zeros((dim, dim))
-            for k in range(0, n + 1):
-                for comps in _compositions_up_to(n, k):
-                    peeled = sum(comps)
-                    rem = n - peeled
-                    lead = self.scattering_op(t, cluster, tuple(range(s + 1, s + rem + 1)), sector)
-                    term = lead
-                    prefix = 0
-                    ok = True
-                    for nj in comps:
-                        prefix += nj
-                        r_j = s + n - prefix
-                        z_j = list(range(r_j + 1, r_j + nj + 1))
-                        stage = self._stage_factor(t, z_j, r_j, sector)
-                        if stage is None:
-                            ok = False
-                            break
-                        term = term @ stage
-                    if not ok:
-                        continue
-                    total += ((-1.0) ** k / math.factorial(rem)) * term
-            return math.factorial(n) * total
-
-        return self._memo.get(t, ("generating", s, n), build)
-
-    def _stage_factor(self, t: float, z_slots, r_j: int, sector: int):
-        """Sum over dissections of the peeled slots, each block on its own host.
+    def _stage_factor(self, t: float, z_slots, r_j: int, sector: int, x: np.ndarray) -> np.ndarray:
+        """Sum over dissections of the peeled slots, each block on its own host, applied to x.
 
         Hosts are the tracer and the environment slots 1..r_j below the
-        peeled ones.
+        peeled ones.  With no dissection the sum is zero.
         """
-        dim = self.model.n_states ** (sector + 1)
         host_pool = [TRACER] + list(range(1, r_j + 1))
-        acc = np.zeros((dim, dim))
-        found = False
+        acc = np.zeros_like(x)
         for blocks in enumerate_dissections(z_slots, max_parts=r_j):
             coeff = 1.0 / math.factorial(len(blocks))
             for block in blocks:
                 coeff /= math.factorial(len(block))
             for assign in itertools.permutations(host_pool, len(blocks)):
-                prod = functools.reduce(np.matmul, (
-                    self.scattering_op(t, (host,), tuple(block), sector)
-                    for host, block in zip(assign, blocks)))
-                acc += coeff * prod
-                found = True
-        return acc if found else None
+                term = x
+                for host, block in reversed(list(zip(assign, blocks))):
+                    term = self.scattering_op(t, (host,), tuple(block), sector, term)
+                acc += coeff * term
+        return acc
 
     # -- correlated terms and the tracer series ------------------------------
 
@@ -379,7 +349,7 @@ class KineticEngine:
         acc = 0.0
         for n in range(order + 1):
             cols = self.functional_input(F, t, s + n)
-            out = (self.generating_op(t, s, n) @ cols.reshape(-1, F.shape[1])).reshape(cols.shape)
+            out = self.generating_op(t, s, n, cols.reshape(-1, F.shape[1])).reshape(cols.shape)
             acc = acc + _integrate_env(out, self.model.weights, s) / math.factorial(n)
         return acc
 
@@ -436,10 +406,11 @@ class KineticEngine:
         and they are the engine's column lattice: past the first half step,
         the correlated terms at a new time are one batched product per
         sector, with no semigroup built.  Step i ends at (2i) * h, which is
-        i * dt exactly.  A step with mass drift beyond 1e-6 raises
-        StepRejected.  dt must divide t_max to a relative 1e-9, so the
-        trajectory ends at steps * dt, which is t_max itself unless that
-        product rounds elsewhere.
+        i * dt exactly.  Once the first step has built E at h for every
+        sector, the workspace's semigroups at h are released.  A step with
+        mass drift beyond 1e-6 raises StepRejected.  dt must divide t_max to
+        a relative 1e-9, so the trajectory ends at steps * dt, which is t_max
+        itself unless that product rounds elsewhere.
         """
         if not t_max > 0:
             raise ValidationError("t_max: must be > 0")
@@ -467,6 +438,8 @@ class KineticEngine:
                 )
             f = f_new
             out.append(TracerDistribution(values=f.copy(), t=t_next, mass_drift=drift))
+            if i == 0:
+                self.ws.release_semigroups()
         return out
 
     # -- duality -----------------------------------------------------------------

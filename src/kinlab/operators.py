@@ -290,6 +290,10 @@ class Workspace:
         return self._semigroups.get(t, (s, selector, direction),
                                     lambda: self._semigroup(s, selector, t, direction))
 
+    def release_semigroups(self) -> None:
+        """Drop the semigroups of the latest |t|; a later lookup rebuilds what it needs."""
+        self._semigroups = LatestTimeMemo()
+
     def _semigroup(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
         env = sorted(selector - {TRACER})
         k = len(env)

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 
 import kinlab.kinetic
 import kinlab.operators
-from kinlab.combinatorics import cumulant_matrix, partition_plan, partition_products
+from kinlab.combinatorics import (cumulant_matrix, enumerate_dissections, partition_plan,
+                                  partition_products)
 from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
-from kinlab.model import CorrelationProfile, ValidationError, tiny_model
+from kinlab.model import CorrelationProfile, ValidationError, build_initial_state, tiny_model
 from kinlab.operators import TRACER, full_selector, workspace_for
-from kinlab.sectors import embed_with_slots, integrate_env_slots, sector_inner
+from kinlab.sectors import (SectorFunction, SequenceState, embed_with_slots, integrate_env_slots,
+                            sector_inner)
 
 from conftest import correlated_profile, fp_stage_times, random_model
 
@@ -38,13 +42,13 @@ def coupled_engine():
 def test_scattering_cumulant_identity_under_factorization(free_engine):
     # g = 1, eps = 0, pair rates 0: the full semigroup cancels its inverses
     for s in (0, 1, 2):
-        op = free_engine.scattering_op(0.8, tuple(range(s + 1)), (), s)
+        op = free_engine.scattering_op(0.8, tuple(range(s + 1)), (), s, np.eye(2 ** (s + 1)))
         np.testing.assert_allclose(op, np.eye(2 ** (s + 1)), atol=1e-13)
 
 
 def test_scattering_cumulant_at_zero_time_is_g_multiplication(coupled_engine):
     g_pair = coupled_engine.profile.g[1]
-    op = coupled_engine.scattering_op(0.0, (0, 1), (), 1)
+    op = coupled_engine.scattering_op(0.0, (0, 1), (), 1, np.eye(4))
     np.testing.assert_allclose(op, np.diag(g_pair.reshape(-1)), atol=1e-14)
 
 
@@ -57,18 +61,18 @@ def test_scattering_cumulant_matches_hand_product(coupled_engine):
     hand = main @ np.diag(g_emb.reshape(-1)) \
         @ ws.semigroup(1, frozenset({0}), -t, "dual") \
         @ ws.semigroup(1, frozenset({1}), -t, "dual")
-    got = coupled_engine.scattering_op(t, (0,), (1,), 1)
+    got = coupled_engine.scattering_op(t, (0,), (1,), 1, np.eye(4))
     np.testing.assert_allclose(got, hand, atol=1e-12)
 
 
 def test_generating_v_first_order_is_scattering_cumulant(coupled_engine):
-    got = coupled_engine.generating_op(0.6, 1, 0)
-    want = coupled_engine.scattering_op(0.6, (0, 1), (), 1)
+    got = coupled_engine.generating_op(0.6, 1, 0, np.eye(4))
+    want = coupled_engine.scattering_op(0.6, (0, 1), (), 1, np.eye(4))
     np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 def test_generating_v_second_order_vanishes_under_factorization(free_engine):
-    got = free_engine.generating_op(0.6, 1, 1)
+    got = free_engine.generating_op(0.6, 1, 1, np.eye(8))
     assert np.max(np.abs(got)) <= 1e-12
 
 
@@ -76,18 +80,87 @@ def test_generating_v_general_matches_displayed_formula(coupled_engine):
     """The dissection sum at n = 1 must reproduce the explicit two-term form."""
     eng = coupled_engine
     t = 0.6
-    general = eng.generating_op(t, 1, 1)
-    main = eng.scattering_op(t, (0, 1), (2,), 2)
-    lead = eng.scattering_op(t, (0, 1), (), 2)
+    eye = np.eye(8)
+    general = eng.generating_op(t, 1, 1, eye)
+    main = eng.scattering_op(t, (0, 1), (2,), 2, eye)
+    lead = eng.scattering_op(t, (0, 1), (), 2, eye)
     # the peeled slot 2 is anchored at the tracer or at environment slot 1
-    sub = sum(eng.scattering_op(t, (h,), (2,), 2) for h in (TRACER, 1))
+    sub = sum(eng.scattering_op(t, (h,), (2,), 2, eye) for h in (TRACER, 1))
     np.testing.assert_allclose(general, main - lead @ sub, atol=1e-11)
 
 
 def test_generating_v_higher_orders_vanish_under_factorization(free_engine):
     for n in (2, 3):
-        got = free_engine.generating_op(0.5, 0, n)
+        got = free_engine.generating_op(0.5, 0, n, np.eye(2 ** (n + 1)))
         assert np.max(np.abs(got)) <= 1e-11
+
+
+def _scattering_matrix(eng, t, cluster, singles, sector):
+    """A scattering cumulant as a product of dim x dim matrices, as a reference.
+
+    cumulant_matrix . diag(g on the cluster's and singles' environment slots,
+    tracer-anchored clusters only) . the inverse one-slot semigroups.
+    """
+    labels = [frozenset(cluster)] + [frozenset({j}) for j in singles]
+    op = cumulant_matrix(eng.model, t, labels, sector, "dual")
+    if TRACER in cluster:
+        env = tuple(sorted(set(cluster) - {TRACER})) + tuple(singles)
+        op = op @ np.diag(embed_with_slots(eng.profile.g[len(env)], sector, env).reshape(-1))
+    for slot in sorted(set(cluster) | set(singles)):
+        op = op @ eng.ws.semigroup(sector, frozenset({slot}), -t, "dual")
+    return op
+
+
+def _generating_matrix(eng, t, s, n):
+    """The generating operator of order 1+n as a matrix, from `_scattering_matrix`.
+
+    n! sum over k and compositions (n_1..n_k), sum <= n, of (-1)^k / rem! times
+    the leading cumulant with rem = n - sum singles, times one dissection sum
+    per stage j: the slots r_j+1..r_j+n_j, r_j = s + n - (n_1 + ... + n_j),
+    cut into blocks, each on a distinct host among the tracer and 1..r_j.
+    """
+    sector = s + n
+    dim = eng.model.n_states ** (sector + 1)
+    total = np.zeros((dim, dim))
+    for k in range(n + 1):
+        for comps in itertools.product(range(1, n + 1), repeat=k):
+            rem = n - sum(comps)
+            if rem < 0:
+                continue
+            term = _scattering_matrix(eng, t, range(s + 1), range(s + 1, s + rem + 1), sector)
+            r = s + n
+            for nj in comps:
+                r -= nj
+                stage = np.zeros((dim, dim))
+                for blocks in enumerate_dissections(range(r + 1, r + nj + 1), max_parts=r):
+                    coeff = 1.0 / math.factorial(len(blocks)) / math.prod(
+                        math.factorial(len(b)) for b in blocks)
+                    for hosts in itertools.permutations([TRACER, *range(1, r + 1)], len(blocks)):
+                        stage += coeff * functools.reduce(np.matmul, (
+                            _scattering_matrix(eng, t, (h,), tuple(b), sector)
+                            for h, b in zip(hosts, blocks)))
+                term = term @ stage
+            total += (-1.0) ** k / math.factorial(rem) * term
+    return math.factorial(n) * total
+
+
+def test_generating_op_on_columns_matches_the_matrix_products():
+    model = random_model(11, n_points=3, eps=0.2, n_max=2)
+    rng = np.random.default_rng(11)
+    tracer0, env1 = rng.uniform(0.2, 1.0, (2, 3))
+    tracer0 /= tracer0 @ model.weights
+    env1 /= env1 @ model.weights
+    eng = engine_for(model, correlated_profile(model, tracer0=tracer0, env1=env1))
+    top = eng.profile.n_max
+    assert top == 3
+    cases = [(s, n) for s in range(1, top + 1) for n in range(3) if s + n <= top]
+    for t in (0.37, -0.37):
+        for s, n in cases:
+            x = rng.uniform(-1.0, 1.0, (3 ** (s + n + 1), 3))
+            ref = _generating_matrix(eng, t, s, n) @ x
+            got = eng.generating_op(t, s, n, x)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_reduced_distribution_free_relaxation(free_engine):
@@ -185,7 +258,6 @@ def test_duality_two_ary_environment_observable():
     profile = correlated_profile(model, depth=4)
     sigma = np.array([1.0, -1.0])
     pair_obs = np.multiply.outer(sigma, sigma)
-    from kinlab.sectors import SectorFunction, SequenceState
     b0 = SequenceState((
         SectorFunction(0, np.zeros(2)),
         SectorFunction(1, np.zeros((2, 2))),
@@ -638,7 +710,7 @@ def test_fp_endpoint_is_read_off_the_lattice(monkeypatch):
     eng.reduced_distribution(0.5, 3)
     assert len(at_rhs) == 4 * 50
     # every expm call falls in the first step; the endpoint builds nothing
-    assert expm_calls and at_rhs[4] == len(expm_calls)
+    assert len(expm_calls) == 7 and at_rhs[4] == 7
     assert [td.t for td in traj] == [i * 0.01 for i in range(51)]
     assert traj[-1].t == 0.5
 
@@ -683,15 +755,18 @@ def test_series_terms_decay_geometrically_for_small_data():
     assert all(r < 1 for r in ratios)
 
 
-def test_scattering_op_kept_for_latest_abs_time_only(coupled_engine):
-    op = coupled_engine.scattering_op(0.4, (0, 1), (), 1)
-    ref = weakref.ref(op)
-    coupled_engine.scattering_op(-0.4, (0, 1), (), 1)
-    assert coupled_engine.scattering_op(0.4, (0, 1), (), 1) is op
-    del op
-    coupled_engine.scattering_op(0.9, (0, 1), (), 1)
-    gc.collect()
-    assert ref() is None
+def test_scattering_route_memoizes_no_sector_operator():
+    model = tiny_model(eps=0.05, rate_env2=0.0, kernel_int="copy", n_max=2)
+    eng = engine_for(model, correlated_profile(model))
+    rng = np.random.default_rng(5)
+    b0 = SequenceState(tuple(SectorFunction(s, rng.uniform(-1, 1, (2,) * (s + 1)))
+                             for s in range(3)), kind="observable")
+    eng.duality_check(b0, 0.4, 1, route="scattering")
+    held = list(eng._memo._values.values())
+    assert held
+    # tracer-space matrices and column stacks only: no dim x dim operator of a sector
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == v.shape[1] > 2
+                   for v in held)
 
 
 def test_integrate_fp_releases_first_step_semigroups(coupled_engine):
@@ -706,13 +781,50 @@ def test_integrate_fp_releases_first_step_semigroups(coupled_engine):
     assert ref() is None
 
 
+def test_integrate_fp_drops_the_semigroups_of_h_after_the_first_step(monkeypatch):
+    model, profile = _fp_kinetic_case()
+    eng = engine_for(model, profile)
+    build = kinlab.operators.Workspace._semigroup
+    fp_rhs = KineticEngine.fp_rhs
+    built, alive = [], []
+
+    def kept(self, *args):
+        out = build(self, *args)
+        built.append(weakref.ref(out))
+        return out
+
+    def stamped(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        return fp_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(kinlab.operators.Workspace, "_semigroup", kept)
+    monkeypatch.setattr(KineticEngine, "fp_rhs", stamped)
+    eng.integrate_fp(profile.tracer0, 0.5, 0.01, 3)
+    # every semigroup is built at t = h, and none outlives the first step
+    assert len(built) == 26
+    assert alive[:5] == [0, 0, 26, 26, 0]
+    assert not any(alive[4:])
+
+
+def test_short_profile_is_one_validation_error():
+    model = tiny_model(n_max=3)
+    profile = CorrelationProfile.factorized(model, [0.7, 0.3], [0.6, 0.4], n_max=2)
+    messages = []
+    for build in (lambda: KineticEngine(model, profile),
+                  lambda: build_initial_state(profile, model)):
+        with pytest.raises(ValidationError) as err:
+            build()
+        messages.append(str(err.value))
+    assert messages == ["profile: fewer correlation sectors than model n_max"] * 2
+
+
 F1 = np.array([0.7, 0.3])
 
 # calls outside the engine's domain; the profile carries n_max 3
 DOMAIN_CASES = {
-    "scattering s+n > n_max": lambda e: e.scattering_op(0.5, (0, 1, 2), (3, 4), 4),
-    "generating s+n > n_max": lambda e: e.generating_op(0.5, 1, 3),
-    "generating n > n_max": lambda e: e.generating_op(0.5, 0, 4),
+    "scattering s+n > n_max": lambda e: e.scattering_op(0.5, (0, 1, 2), (3, 4), 4, np.eye(32)),
+    "generating s+n > n_max": lambda e: e.generating_op(0.5, 1, 3, np.eye(32)),
+    "generating n > n_max": lambda e: e.generating_op(0.5, 0, 4, np.eye(32)),
     "functional s < 1": lambda e: e.state_functional(0.5, F1, 0, 1),
     "functional s+K > n_max": lambda e: e.state_functional(0.5, F1, 2, 2),
 }
@@ -729,6 +841,22 @@ def test_engine_domain(coupled_engine, case):
         assert str(err.value) == "state functionals start at the (1+1)-sector"
 
 
+def _random_duality_case(model, seed, gamma):
+    """An additive observable and pair-correlated and chaos profiles of depth n_max + 1."""
+    n, n_max, w = model.n_states, model.n_max, model.weights
+    rng = np.random.default_rng(seed)
+    tracer0, env1 = rng.uniform(0.2, 1.0, (2, n))
+    tracer0 /= tracer0 @ w
+    env1 /= env1 @ w
+    b0 = additive_reduced_initial(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), n_max)
+    sigma = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
+    g_pair = 1.0 + gamma * np.multiply.outer(sigma, sigma)
+    correlated = CorrelationProfile.factorized(model, tracer0, env1, g_pair=g_pair,
+                                               n_max=n_max + 1)
+    chaos = CorrelationProfile.factorized(model, tracer0, env1, n_max=n_max + 1)
+    return b0, correlated, chaos
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(2, 3), n_max=st.integers(1, 3),
        eps=st.floats(0.0, 0.3), gamma=st.floats(-0.3, 0.3), t=st.floats(0.0, 1.5),
@@ -741,18 +869,23 @@ def test_duality_exact_on_random_models_without_env_pairs(seed, n_points, n_max,
     n = model.n_states
     model = dataclasses.replace(model, rate_env2=np.zeros((n, n)))
     order = data.draw(st.integers(0, n_max), label="K")
-    rng = np.random.default_rng(seed)
-    w = model.weights
-    tracer0, env1 = rng.uniform(0.2, 1.0, (2, n))
-    tracer0 /= tracer0 @ w
-    env1 /= env1 @ w
-    b0 = additive_reduced_initial(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), n_max)
-    sigma = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
-    g_pair = 1.0 + gamma * np.multiply.outer(sigma, sigma)
-    correlated = CorrelationProfile.factorized(model, tracer0, env1, g_pair=g_pair,
-                                               n_max=n_max + 1)
-    chaos = CorrelationProfile.factorized(model, tracer0, env1, n_max=n_max + 1)
+    b0, correlated, chaos = _random_duality_case(model, seed, gamma)
     rep = engine_for(model, correlated).duality_check(b0, t, order, route="resolvent")
     assert rep.abs_residual <= 1e-12
     rep = engine_for(model, chaos).duality_check(b0, t, order, route="scattering")
     assert rep.abs_residual <= 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(2, 3), n_max=st.integers(1, 3),
+       eps=st.floats(0.0, 0.3), gamma=st.floats(-0.3, 0.3), t=st.floats(0.0, 1.5))
+def test_duality_exact_on_random_models_with_env_pairs(seed, n_points, n_max, eps, gamma, t):
+    """rate_env2 > 0: the resolvent route at K = n_max - 1, where the pair
+    functional's s + K is the model n_max, is exact with pair correlations
+    and for chaos data."""
+    model = random_model(seed, n_points=n_points, eps=eps, n_max=n_max)
+    assert np.all(model.rate_env2 > 0)
+    b0, correlated, chaos = _random_duality_case(model, seed, gamma)
+    for profile in (correlated, chaos):
+        rep = engine_for(model, profile).duality_check(b0, t, n_max - 1, route="resolvent")
+        assert rep.abs_residual <= 1e-12
