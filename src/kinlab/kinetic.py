@@ -22,7 +22,6 @@ binds it to a (model, profile) pair.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -39,7 +38,7 @@ from .combinatorics import (
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec, ValidationError
 from .operators import TRACER, LatestTimeMemo, workspace_for
-from .sectors import SectorFunction, SequenceState, embed_with_slots
+from .sectors import SectorFunction, SequenceState, embed_with_slots, slot_weights
 
 __all__ = [
     "TracerDistribution",
@@ -249,8 +248,8 @@ class KineticEngine:
         """The fixed vectors that read the (s, n) correlated term off W_(s+n).
 
         a holds mu(pi) / n! for every slot partition pi in which 0..s share a
-        block and 0 for the others; w_env is the n-th Kronecker power of the
-        model weights, the quadrature over the environment slots s+1..s+n.
+        block and 0 for the others; w_env is the `slot_weights` of the
+        environment slots s+1..s+n.
         Built once per (s, n): Bell(s+n+1) + n_states^n floats.
         """
         if (s, n) not in self._readouts:
@@ -258,7 +257,7 @@ class KineticEngine:
             _, plan, _ = self._sector(s + n)
             a = np.array([mu if any(cluster <= union for union in unions) else 0.0
                           for mu, unions in plan]) / math.factorial(n)
-            w_env = _env_weights(self.model.weights, n)
+            w_env = slot_weights(self.model.weights, n)
             self._readouts[(s, n)] = (a, w_env)
         return self._readouts[(s, n)]
 
@@ -410,12 +409,15 @@ class KineticEngine:
         sector, the workspace's semigroups at h are released.  A step with
         mass drift beyond 1e-6 raises StepRejected.  dt must divide t_max to
         a relative 1e-9, so the trajectory ends at steps * dt, which is t_max
-        itself unless that product rounds elsewhere.
+        itself unless that product rounds elsewhere; both must be finite.
         """
         if not t_max > 0:
             raise ValidationError("t_max: must be > 0")
         if not dt > 0:
             raise ValidationError("dt: must be > 0")
+        for key, value in (("t_max", t_max), ("dt", dt)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{key}: must be finite")
         w = self.model.weights
         steps = int(round(t_max / dt))
         if abs(steps * dt - t_max) > 1e-9 * abs(t_max):
@@ -473,15 +475,10 @@ class KineticEngine:
         return DualityReport(t=t, order=order, eps=model.eps, lhs=lhs, rhs=rhs)
 
 
-def _env_weights(weights: np.ndarray, n: int) -> np.ndarray:
-    """w (x) ... (x) w with n factors: the quadrature weights of n environment slots."""
-    return functools.reduce(np.kron, (weights,) * n, np.ones(1))
-
-
 def _integrate_env(cols: np.ndarray, weights: np.ndarray, s: int) -> np.ndarray:
     """Integrate the environment slots above s out of a block whose last axis holds columns."""
     n_states, m = cols.shape[0], cols.shape[-1]
-    w_env = _env_weights(weights, cols.ndim - 2 - s)
+    w_env = slot_weights(weights, cols.ndim - 2 - s)
     out = np.matmul(w_env, cols.reshape(n_states ** (s + 1), w_env.size, m))
     return out.reshape((n_states,) * (s + 1) + (m,))
 

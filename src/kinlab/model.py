@@ -37,11 +37,14 @@ __all__ = [
 
 KERNEL_TOL = 1e-12
 
+# the collision laws, each the fields rate_<law> and kernel_<law>, with the number
+# of entities the rate depends on, which is also the kernel's argument count
+LAWS = {"tracer": 1, "env1": 1, "env2": 2, "int": 2}
+
 # the documented keys of each config section; load_model rejects any other
 CONFIG_KEYS = {
     "model": ("m", "grid_points", "grid_weights", "eps", "n_max",
-              "rate_tracer", "rate_env1", "rate_env2", "rate_int",
-              "kernel_tracer", "kernel_env1", "kernel_env2", "kernel_int"),
+              *(f"rate_{law}" for law in LAWS), *(f"kernel_{law}" for law in LAWS)),
     "initial": ("tracer0", "env1", "g", "activity"),
     "run": ("t_max", "dt", "series_order", "mc_trajectories", "seed"),
     "output": ("dir", "format"),
@@ -110,17 +113,12 @@ class KernelReport:
     max_deviation: float
 
 
-def _kernel_row_masses(kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.tensordot(weights, kernel, axes=([0], [0]))
-
-
 def validate_kernel(kernel: np.ndarray, grid: MicroGrid, m: int = 1) -> KernelReport:
     """Check the normalization sum_v w(v) A(v; args) = 1 for every argument tuple."""
     n = m * len(grid)
     if kernel.shape[0] != n:
         raise ValidationError("kernel: shape mismatch against grid")
-    weights = np.tile(grid.weights, m)
-    masses = _kernel_row_masses(kernel, weights)
+    masses = np.tile(grid.weights, m) @ kernel.reshape(n, -1)
     dev = float(np.max(np.abs(masses - 1.0))) if masses.size else 0.0
     return KernelReport(passed=dev <= KERNEL_TOL, max_deviation=dev)
 
@@ -129,9 +127,9 @@ def validate_kernel(kernel: np.ndarray, grid: MicroGrid, m: int = 1) -> KernelRe
 class ModelSpec:
     """Rates a^[m], transition kernels A^[m], coupling eps, truncation cap.
 
-    Rates are nonnegative arrays over their argument tuples, kernels are
-    nonnegative arrays over (target, arguments) normalized against the
-    quadrature weights.
+    One rate and one kernel per law of `LAWS`: rates are nonnegative arrays
+    over their argument tuples, kernels nonnegative arrays over (target,
+    arguments) normalized against the quadrature weights.
     """
 
     m: int
@@ -154,14 +152,11 @@ class ModelSpec:
             raise ValidationError("n_max: must be >= 0")
         if not self.eps >= 0:
             raise ValidationError("eps: coupling must be >= 0")
+        if not math.isfinite(self.eps):
+            raise ValidationError("eps: coupling must be finite")
         n = self.n_states
-        rate_shapes = {
-            "rate_tracer": (n,),
-            "rate_env1": (n,),
-            "rate_env2": (n, n),
-            "rate_int": (n, n),
-        }
-        for key, shape in rate_shapes.items():
+        for law, arity in LAWS.items():
+            key, shape = f"rate_{law}", (n,) * arity
             arr = np.asarray(getattr(self, key), dtype=float)
             if arr.shape != shape:
                 raise ValidationError(f"{key}: expected shape {shape}, got {arr.shape}")
@@ -171,16 +166,11 @@ class ModelSpec:
                 raise ValidationError(f"{key}: rate positivity")
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
-        kernel_args = {
-            "kernel_tracer": 1,
-            "kernel_env1": 1,
-            "kernel_env2": 2,
-            "kernel_int": 2,
-        }
-        for key, n_args in kernel_args.items():
+        for law, arity in LAWS.items():
+            key = f"kernel_{law}"
             arr = np.asarray(getattr(self, key), dtype=float)
-            if arr.shape != (n,) * (1 + n_args):
-                raise ValidationError(f"{key}: expected {1 + n_args} axes of size {n}")
+            if arr.shape != (n,) * (1 + arity):
+                raise ValidationError(f"{key}: expected {1 + arity} axes of size {n}")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{key}: kernel positivity")
             report = validate_kernel(arr, self.grid, self.m)
@@ -208,11 +198,9 @@ class ModelSpec:
         h = hashlib.sha256()
         h.update(f"{self.m}|{self.eps!r}|{self.n_max}".encode())
         h.update(np.asarray(self.grid.weights).tobytes())
-        for arr in (
-            self.rate_tracer, self.rate_env1, self.rate_env2, self.rate_int,
-            self.kernel_tracer, self.kernel_env1, self.kernel_env2, self.kernel_int,
-        ):
-            h.update(np.asarray(arr).tobytes())
+        for kind in ("rate", "kernel"):
+            for law in LAWS:
+                h.update(np.asarray(getattr(self, f"{kind}_{law}")).tobytes())
         return h.hexdigest()[:16]
 
     def with_eps(self, eps: float) -> "ModelSpec":
@@ -236,6 +224,8 @@ class CorrelationProfile:
         tr = np.asarray(self.tracer0, dtype=float)
         if np.any(tr < 0):
             raise ValidationError("tracer0: entries must be >= 0")
+        if not np.all(np.isfinite(tr)):
+            raise ValidationError("tracer0: entries must be finite")
         tr.setflags(write=False)
         object.__setattr__(self, "tracer0", tr)
         env = tuple(np.asarray(a, dtype=float) for a in self.env_reduced)
@@ -260,7 +250,7 @@ class CorrelationProfile:
 
     def validate_normalization(self, weights: np.ndarray, tol: float = 1e-12):
         mass = float(np.dot(weights, self.tracer0))
-        if abs(mass - 1.0) > tol:
+        if not abs(mass - 1.0) <= tol:   # a NaN mass fails too
             raise ValidationError(f"tracer0: normalization (mass {mass!r})")
 
     def chain_sector(self, n: int) -> np.ndarray:
@@ -333,6 +323,9 @@ class ExperimentConfig:
             raise ValidationError("activity: must be > 0")
         if self.out_format not in ("csv", "json"):
             raise ValidationError("format: must be csv or json")
+        for key in ("t_max", "dt", "activity"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key}: must be finite")
 
     @property
     def key(self) -> str:
@@ -421,17 +414,14 @@ def load_model(config_text: str) -> ExperimentConfig:
         n_states = m * n_points
         eps = sec_m.getfloat("eps", fallback=0.0)
         n_max = sec_m.getint("n_max", fallback=2)
-        model = ModelSpec(
-            m=m, grid=grid, eps=eps, n_max=n_max,
-            rate_tracer=_parse_rate(sec_m.get("rate_tracer", "1.0"), (n_states,)),
-            rate_env1=_parse_rate(sec_m.get("rate_env1", "1.0"), (n_states,)),
-            rate_env2=_parse_rate(sec_m.get("rate_env2", "1.0"), (n_states, n_states)),
-            rate_int=_parse_rate(sec_m.get("rate_int", "1.0"), (n_states, n_states)),
-            kernel_tracer=_parse_kernel(sec_m.get("kernel_tracer", "uniform"), 1, n_states, np.tile(weights, m)),
-            kernel_env1=_parse_kernel(sec_m.get("kernel_env1", "uniform"), 1, n_states, np.tile(weights, m)),
-            kernel_env2=_parse_kernel(sec_m.get("kernel_env2", "uniform"), 2, n_states, np.tile(weights, m)),
-            kernel_int=_parse_kernel(sec_m.get("kernel_int", "uniform"), 2, n_states, np.tile(weights, m)),
-        )
+        combined = np.tile(weights, m)
+        laws = {}
+        for kind, default in (("rate", "1.0"), ("kernel", "uniform")):
+            for law, arity in LAWS.items():
+                text = sec_m.get(f"{kind}_{law}", default)
+                laws[f"{kind}_{law}"] = (_parse_rate(text, (n_states,) * arity) if kind == "rate"
+                                         else _parse_kernel(text, arity, n_states, combined))
+        model = ModelSpec(m=m, grid=grid, eps=eps, n_max=n_max, **laws)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -488,13 +478,19 @@ def build_initial_state(profile: CorrelationProfile, model: ModelSpec,
 
     D_(1+n) = z^n * g_(1+n) * F0_(0+n) * F0_(1+0), zero above n_max; the
     reduced sectors are then computed exactly from D(0) by `reduce_state`,
-    so the pair is self-consistent by construction.
+    so the pair is self-consistent by construction.  z^n_max must be finite.
     """
-    if z <= 0:
+    if not z > 0:
         raise ValidationError("activity: z must be > 0")
+    if not math.isfinite(z):
+        raise ValidationError("activity: z must be finite")
     if profile.n_max < model.n_max:
         raise ValidationError("profile: fewer correlation sectors than model n_max")
-    full = [SectorFunction(n, (z ** n) * profile.chain_sector(n)) for n in range(model.n_max + 1)]
+    try:
+        powers = [float(z) ** n for n in range(model.n_max + 1)]
+    except OverflowError:
+        raise ValidationError(f"activity: z^{model.n_max} overflows (z {z!r})") from None
+    full = [SectorFunction(n, powers[n] * profile.chain_sector(n)) for n in range(model.n_max + 1)]
     ensemble = SequenceState(tuple(full), kind="distribution")
     reduced = [reduce_state(ensemble, model, s) for s in range(model.n_max + 1)]
     return ensemble, SequenceState(tuple(reduced), kind="distribution")

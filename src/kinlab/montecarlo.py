@@ -28,7 +28,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .model import CorrelationProfile, ModelSpec, ValidationError, build_initial_state
-from .sectors import SequenceState
+from .sectors import SequenceState, slot_weights
 
 __all__ = [
     "BLOCK",
@@ -180,15 +180,14 @@ def _initial_cdf(profile: CorrelationProfile, model: ModelSpec, z: float) -> np.
     if memo is not None and memo[0] is profile and memo[1] == z:
         return memo[2]
     ensemble, _ = build_initial_state(profile, model, z)
-    mass, wprod = [], model.weights   # wprod: quadrature weight of each sector-n cell
+    mass = []
     for n in range(model.n_max + 1):
-        sector = (wprod * ensemble[n].data).reshape(-1) / math.factorial(n)
+        sector = slot_weights(model.weights, n + 1) * ensemble[n].flat / math.factorial(n)
         if np.any(sector < 0):
             raise ValidationError(
                 f"initial: D(0) sector {n} has negative mass (min {sector.min():.3g}); the "
                 "Monte Carlo oracle needs [initial] g, tracer0 and env1 that keep it nonnegative")
         mass.append(sector)
-        wprod = np.multiply.outer(wprod, model.weights)
     cum = np.cumsum(np.concatenate(mass))
     cdf = cum / cum[-1]
     object.__setattr__(model, "_initial_cdf", (profile, z, cdf))

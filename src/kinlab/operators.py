@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import LAWS, ModelSpec
 from .sectors import SectorFunction
 
 __all__ = [
@@ -304,18 +304,18 @@ class Workspace:
         return self.embedding(s, (TRACER, *env))(self.semigroup(k, canonical, t, direction))
 
     def term(self, s: int, kind: str, slots: tuple, direction: str) -> np.ndarray:
-        """The collision block of `kind` placed on `slots` of sector s, without eps.
+        """The collision block of law `kind` placed on `slots` of sector s, without eps.
 
-        'tracer' and 'env1' are one-slot blocks; 'env2' and 'int' are pair
-        blocks whose first slot jumps.  Each block is built once.
+        A law of `LAWS` arity 1 ('tracer', 'env1') is a one-slot block, one of
+        arity 2 ('env2', 'int') a pair block whose first slot jumps.  Each
+        block is built once.
         """
         key = (kind, direction)
         if key not in self._blocks:
             model = self.model
             one_slot = _ONE_SLOT[direction]
             law = (getattr(model, f"rate_{kind}"), getattr(model, f"kernel_{kind}"), model.weights)
-            self._blocks[key] = (_pair(one_slot, *law) if kind in ("env2", "int")
-                                 else one_slot(*law))
+            self._blocks[key] = _pair(one_slot, *law) if LAWS[kind] == 2 else one_slot(*law)
         return self.embedding(s, tuple(slots))(self._blocks[key])
 
     def embedding(self, s: int, slots: tuple):

@@ -19,6 +19,7 @@ __all__ = [
     "symmetrize_env",
     "embed_with_slots",
     "embed_env_vector",
+    "slot_weights",
     "integrate_env_slots",
     "sector_inner",
     "sector_mass",
@@ -92,27 +93,29 @@ def embed_env_vector(vec: np.ndarray, s_big: int, slot: int) -> np.ndarray:
     return np.broadcast_to(vec.reshape(shape), (n,) * (s_big + 1)).copy()
 
 
+def slot_weights(weights: np.ndarray, k: int) -> np.ndarray:
+    """Quadrature weight of every cell of k slots, w (x) ... (x) w flat in C order."""
+    out = np.ones(1)
+    for _ in range(k):
+        out = (out[:, np.newaxis] * weights).reshape(-1)
+    return out
+
+
 def integrate_env_slots(data: np.ndarray, weights: np.ndarray, n_out: int) -> np.ndarray:
     """Quadrature-sum the trailing environment axes, keeping 1+n_out slots."""
-    s = data.ndim - 1
-    out = data
-    for _ in range(s - n_out):
-        out = np.tensordot(out, weights, axes=([out.ndim - 1], [0]))
-    return out
+    w = slot_weights(weights, data.ndim - 1 - n_out)
+    return (data.reshape(-1, w.size) @ w).reshape(data.shape[:n_out + 1])
 
 
 def sector_inner(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
     """Weighted inner product over all slots: sum prod(w) * a * b."""
     if a.shape != b.shape:
         raise ValueError("sector shapes differ")
-    prod = a * b
-    for _ in range(prod.ndim):
-        prod = np.tensordot(prod, weights, axes=([prod.ndim - 1], [0]))
-    return float(prod)
+    return sector_mass(a * b, weights)
 
 
 def sector_mass(data: np.ndarray, weights: np.ndarray) -> float:
-    return sector_inner(data, np.ones_like(data), weights)
+    return float(slot_weights(weights, data.ndim) @ data.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -277,3 +277,38 @@ def test_import_loads_no_scipy_and_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["True", "[]"]
+
+
+TINY_CORRELATED = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                               "tiny_correlated.ini")
+
+
+NON_FINITE_CASES = [
+    ("duality-sweep", None, ("--t-max", "inf"), "t_max"),
+    ("fp-trajectory", None, ("--t-max", "inf"), "t_max"),
+    ("fp-trajectory", None, ("--dt", "inf"), "dt"),
+    ("duality-sweep", None, ("--eps", "inf"), "eps"),
+    ("duality-sweep", ("eps = 0.05", "eps = inf"), (), "eps"),
+    ("duality-sweep", ("activity = 1.0", "activity = inf"), (), "activity"),
+    ("duality-sweep", ("activity = 1.0", "activity = 1e200"), (), "activity"),
+    ("mc-vs-exact", ("activity = 1.0", "activity = 1e200"), (), "activity"),
+    ("fp-trajectory", ("tracer0 = 0.7 0.3", "tracer0 = nan 0.3"), (), "tracer0"),
+]
+
+
+@pytest.mark.parametrize("kind, edit, args, key", NON_FINITE_CASES, ids=[
+    f"{kind}:{' '.join(args) if edit is None else edit[1]}"
+    for kind, edit, args, _ in NON_FINITE_CASES])
+def test_non_finite_input_exits_1_naming_the_key(tmp_path, capsys, kind, edit, args, key):
+    text = read(TINY_CORRELATED)
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(edit[0], edit[1])
+    path = tmp_path / "model.ini"
+    path.write_text(text)
+    code = run_cli("run", "--config", str(path), "--kind", kind,
+                   "--out", str(tmp_path / "o"), *args)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:")
+    assert "Traceback" not in err

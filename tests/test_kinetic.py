@@ -404,8 +404,10 @@ def test_integrate_fp_rejects_step_that_does_not_divide_t_max():
     assert eng.integrate_fp(np.array([0.75, 0.25]), 0.5, 0.1, 0)[-1].t == pytest.approx(0.5)
 
 
+# dt = inf made zero steps, whose end 0 * inf = nan slipped past the divide check
 @pytest.mark.parametrize("t_max,dt,key", [(-0.5, 0.1, "t_max"), (0.0, 0.1, "t_max"),
-                                          (0.5, 0.0, "dt"), (0.5, -0.1, "dt")])
+                                          (0.5, 0.0, "dt"), (0.5, -0.1, "dt"),
+                                          (math.inf, 0.1, "t_max"), (0.5, math.inf, "dt")])
 def test_integrate_fp_rejects_nonpositive_times(coupled_engine, t_max, dt, key):
     with pytest.raises(ValidationError, match=f"^{key}:"):
         coupled_engine.integrate_fp(np.array([0.75, 0.25]), t_max, dt, 0)
@@ -889,3 +891,23 @@ def test_duality_exact_on_random_models_with_env_pairs(seed, n_points, n_max, ep
     for profile in (correlated, chaos):
         rep = engine_for(model, profile).duality_check(b0, t, n_max - 1, route="resolvent")
         assert rep.abs_residual <= 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(2, 3), n_max=st.integers(1, 3),
+       eps=st.floats(0.0, 0.3), gamma=st.floats(-0.3, 0.3), data=st.data())
+def test_kinetic_identity_on_random_models_with_env_pairs(seed, n_points, n_max, eps, gamma,
+                                                          data):
+    """rate_env2 > 0: the central difference of the distribution series at
+    order K matches the resolvent-route kinetic right-hand side, K = 1..n_max."""
+    model = random_model(seed, n_points=n_points, eps=eps, n_max=n_max)
+    assert np.all(model.rate_env2 > 0)
+    order = data.draw(st.integers(1, n_max), label="K")
+    _, correlated, _ = _random_duality_case(model, seed, gamma)
+    eng = engine_for(model, correlated)
+    dt = 1e-4
+    for t in (0.1, 0.6, 1.2):
+        fd = (eng.reduced_distribution(t + dt, order).values
+              - eng.reduced_distribution(t - dt, order).values) / (2 * dt)
+        rhs = eng.fp_rhs(eng.reduced_distribution(t, order).values, t, order)
+        assert np.max(np.abs(fd - rhs)) <= 1e-6

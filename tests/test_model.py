@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -12,6 +14,7 @@ from kinlab.model import (
     build_initial_state,
     builtin_kernel,
     load_model,
+    load_model_file,
     tiny_model,
     validate_kernel,
 )
@@ -220,3 +223,47 @@ def test_copy_kernel_moves_mass_to_catalyst():
             col = kern[:, u, cat]
             assert col[cat] > 0
             assert np.count_nonzero(col) == 1
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name, key", [("tiny.ini", "9b8ed9915a5bbe10"),
+                                       ("tiny_correlated.ini", "81bb6ad0462464c2")])
+def test_shipped_config_hash_is_pinned(name, key):
+    # the hash reads the laws in a fixed order; metadata.json records it
+    assert load_model_file(os.path.join(CONFIGS, name)).key == key
+
+
+def _wrong_shape(arr):
+    return np.ones((3,) * arr.ndim)
+
+
+def _set_first(value):
+    def edit(arr):
+        out = arr.copy()
+        out.flat[0] = value
+        return out
+    return edit
+
+
+LAW_KEYS = ("rate_tracer", "rate_env1", "rate_env2", "rate_int",
+            "kernel_tracer", "kernel_env1", "kernel_env2", "kernel_int")
+LAW_FAULTS = [("shape", _wrong_shape, "expected"),
+              ("negative", _set_first(-1.0), "positivity"),
+              ("nan", _set_first(math.nan), "positivity"),
+              ("inf", _set_first(math.inf), "positivity"),
+              ("unnormalized", lambda arr: 1.5 * arr, "kernel normalization")]
+# a rate carries no normalization, so scaling it stays valid
+LAW_CASES = [(key, *fault) for key in LAW_KEYS for fault in LAW_FAULTS
+             if key.startswith("kernel_") or fault[0] != "unnormalized"]
+
+
+@pytest.mark.parametrize("key, fault, edit, what", LAW_CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in LAW_CASES])
+def test_law_fault_names_its_key(key, fault, edit, what):
+    model = tiny_model(kernel_int="copy")
+    with pytest.raises(ValidationError) as err:
+        dataclasses.replace(model, **{key: edit(getattr(model, key))})
+    assert str(err.value).startswith(f"{key}: ")
+    assert what in str(err.value)

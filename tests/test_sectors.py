@@ -12,6 +12,8 @@ from kinlab.sectors import (
     embed_with_slots,
     integrate_env_slots,
     sector_inner,
+    sector_mass,
+    slot_weights,
 )
 
 
@@ -62,6 +64,37 @@ def test_sector_inner_weighted():
     a = np.array([1.0, 4.0])
     b = np.array([3.0, 0.5])
     assert sector_inner(a, b, w) == pytest.approx(2 * 3 + 1 * 2)
+
+
+def _einsum_weights(data, weights, axes):
+    """Brute force: sum data against the weights on each of the given axes."""
+    letters = "abcde"[:data.ndim]
+    kept = "".join(c for i, c in enumerate(letters) if i not in axes)
+    spec = ",".join([letters] + [letters[i] for i in axes])
+    return np.einsum(f"{spec}->{kept}", data, *[weights] * len(axes))
+
+
+@pytest.mark.parametrize("n_states", [2, 3])
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+def test_slot_quadrature_matches_brute_force_sums(n_states, s):
+    # positive terms: every sum agrees to a relative 1e-14
+    rng = np.random.default_rng(10 * n_states + s)
+    w = rng.uniform(0.5, 1.5, n_states)
+    a, b = rng.uniform(0.1, 1.0, (2,) + (n_states,) * (s + 1))
+    every_slot = tuple(range(s + 1))
+    letters = "abcde"[:s + 1]
+    cells = np.einsum(f"{','.join(letters)}->{letters}", *[w] * (s + 1)).reshape(-1)
+    np.testing.assert_allclose(slot_weights(w, s + 1), cells, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(slot_weights(w, 0), [1.0])
+    for n_out in range(s + 1):
+        got = integrate_env_slots(a, w, n_out)
+        assert got.shape == (n_states,) * (n_out + 1)
+        ref = _einsum_weights(a, w, tuple(range(n_out + 1, s + 1)))
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+    ref = _einsum_weights(a * b, w, every_slot)
+    assert sector_inner(a, b, w) == pytest.approx(float(ref), rel=1e-14, abs=0)
+    ref = _einsum_weights(a, w, every_slot)
+    assert sector_mass(a, w) == pytest.approx(float(ref), rel=1e-14, abs=0)
 
 
 def test_sequence_state_requires_contiguous_arity():
