@@ -1,12 +1,12 @@
 """Experiment runner: configuration in, result tables and a metadata sidecar out.
 
 Exit codes partition failures: 0 all checks pass, 1 configuration or
-validation error, 2 tolerance failure (per-check report in metadata),
-3 I/O failure, 4 numerical failure (a singular linear solve or a rejected
-kinetic step; metadata records a failing ``numerical_failure`` check that
-names the error, and no tables are written).  CSV bodies are
-byte-identical across reruns with the same config and seed; wall-clock
-timestamps live only in the JSON sidecar.
+validation error (a usage error too), 2 tolerance failure (per-check
+report in metadata), 3 I/O failure, 4 numerical failure (a singular
+linear solve or a rejected kinetic step; metadata records a failing
+``numerical_failure`` check that names the error, and no tables are
+written).  CSV bodies are byte-identical across reruns with the same
+config and seed; wall-clock timestamps live only in the JSON sidecar.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ from .model import (
 from .montecarlo import estimate_means
 from .operators import TRACER, evolve
 from .sectors import SectorFunction, SequenceState
-
-EXPERIMENT_KINDS = (
-    "duality-sweep",
-    "fp-trajectory",
-    "cluster-verify",
-    "mc-vs-exact",
-    "eps-convergence",
-)
 
 EPS_SWEEP = (0.2, 0.1, 0.05)
 # duality residuals at or below this are round-off; the truncation
@@ -269,32 +261,16 @@ RUNNERS = {
 }
 
 
-def apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    model = config.model
-    if args.eps is not None:
-        model = model.with_eps(args.eps)
-    return ExperimentConfig(
-        model=model,
-        profile=config.profile,
-        activity=config.activity,
-        t_max=args.t_max if args.t_max is not None else config.t_max,
-        dt=args.dt if args.dt is not None else config.dt,
-        series_order=args.order if args.order is not None else config.series_order,
-        mc_trajectories=config.mc_trajectories,
-        seed=args.seed if args.seed is not None else config.seed,
-        out_dir=args.out if args.out is not None else config.out_dir,
-        out_format=args.format if args.format is not None else config.out_format,
-    )
+# the run flags that override a config key, as flag -> key; load_model reads
+# their text the way it reads the file's
+OVERRIDE_FLAGS = {"--out": "dir", "--seed": "seed", "--eps": "eps", "--order": "series_order",
+                  "--t-max": "t_max", "--dt": "dt", "--format": "format"}
 
 
-def run(config_path: str, kind: str, args) -> int:
+def run(config_path: str, kind: str, overrides: dict) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if kind not in RUNNERS:
-        print(f"error: unknown experiment kind {kind!r}", file=sys.stderr)
-        return 1
     try:
-        config = load_model_file(config_path)
-        config = apply_overrides(config, args)
+        config = load_model_file(config_path, overrides)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -411,19 +387,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--kind", required=True, choices=EXPERIMENT_KINDS)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--eps", type=float, default=None)
-    p_run.add_argument("--order", type=int, default=None, help="series truncation order K")
-    p_run.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p_run.add_argument("--dt", type=float, default=None)
-    p_run.add_argument("--format", choices=("csv", "json"), default=None)
+    p_run.add_argument("--kind", required=True, choices=RUNNERS)
+    for flag, key in OVERRIDE_FLAGS.items():
+        p_run.add_argument(flag, dest=key, default=argparse.SUPPRESS,
+                           help=f"replaces the config value of {key}")
     p_rep = sub.add_parser("report", help="summarize a result directory")
     p_rep.add_argument("result_dir")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error is a configuration error, exit 1
+        return 0 if exc.code == 0 else 1
     if args.command == "run":
-        return run(args.config, args.kind, args)
+        overrides = {key: getattr(args, key) for key in OVERRIDE_FLAGS.values()
+                     if hasattr(args, key)}
+        return run(args.config, args.kind, overrides)
     return report(args.result_dir)
 
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, ValidationError
 from .operators import TRACER, workspace_for
 
 __all__ = [
@@ -94,11 +94,15 @@ def partition_plan(model: ModelSpec, labels) -> tuple:
     mu = (-1)^(|P|-1) (|P|-1)! is the Moebius weight of partition P; each
     block of P becomes the union of its labels' slots.  Enumerated once per
     label set and kept on the model's workspace, since it does not depend on
-    time.
+    time.  A sector of more than MAX_ELEMENTS labels is beyond the model's
+    reach: its n_max is too large.
     """
     labels = tuple(frozenset(lab) for lab in labels)
     plans = workspace_for(model).plans
     if labels not in plans:
+        if len(labels) > MAX_ELEMENTS:
+            raise ValidationError(f"n_max: {model.n_max} needs a partition of {len(labels)} "
+                                  f"cluster labels, above the cap of {MAX_ELEMENTS}")
         seen: set = set()
         for lab in labels:
             if lab & seen:

@@ -343,49 +343,53 @@ class ExperimentConfig:
         return h.hexdigest()[:16]
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ConfigError(f"could not parse numeric list {text!r}") from exc
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
-def _parse_rate(value: str, shape: tuple) -> np.ndarray:
-    value = value.strip()
-    if value.startswith("constant:"):
-        return np.full(shape, float(value.split(":", 1)[1]))
-    flat = _parse_floats(value)
-    if flat.size == 1:
-        return np.full(shape, float(flat[0]))
-    if flat.size != int(np.prod(shape)):
-        raise ConfigError(f"rate table has {flat.size} entries, expected {int(np.prod(shape))}")
+def _table(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    if flat.size != math.prod(shape):
+        raise ConfigError(f"expected {math.prod(shape)} entries, got {flat.size}")
     return flat.reshape(shape)
 
 
-def _parse_kernel(value: str, n_args: int, n_states: int, weights: np.ndarray) -> np.ndarray:
-    value = value.strip()
-    if value in ("uniform", "copy"):
-        return builtin_kernel(value, n_args, n_states, weights)
-    if value.startswith("constant:"):
-        return np.full((n_states,) * (1 + n_args), float(value.split(":", 1)[1]))
-    flat = _parse_floats(value)
-    want = n_states ** (1 + n_args)
-    if flat.size != want:
-        raise ConfigError(f"kernel table has {flat.size} entries, expected {want}")
+def _law(kind: str, text: str, arity: int, n_states: int, weights: np.ndarray) -> np.ndarray:
+    """A rate or a kernel: `constant:<x>` or an inline table; a rate may be one
+    number, a kernel `uniform` or `copy`."""
+    shape = (n_states,) * (arity if kind == "rate" else 1 + arity)
+    if kind == "kernel" and text in ("uniform", "copy"):
+        return builtin_kernel(text, arity, n_states, weights)
+    if text.startswith("constant:"):
+        return np.full(shape, float(text.removeprefix("constant:")))
+    flat = _floats(text)
+    if kind == "rate":
+        return np.full(shape, flat[0]) if flat.size == 1 else _table(flat, shape)
     # human layout: one row per argument tuple, columns over targets
-    rows = flat.reshape((n_states,) * n_args + (n_states,))
-    return np.moveaxis(rows, -1, 0)
+    return np.moveaxis(_table(flat, shape), -1, 0)
 
 
-def load_model(config_text: str) -> ExperimentConfig:
+def _pair_correlation(text: str, n_states: int) -> np.ndarray | None:
+    """g_(1+1) of `sigma:<gamma>` or an inline table; None for `chaos`."""
+    if text == "chaos":
+        return None
+    if text.startswith("sigma:"):
+        gamma = float(text.removeprefix("sigma:"))
+        sigma = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n_states)])
+        return 1.0 + gamma * np.multiply.outer(sigma, sigma)
+    return _table(_floats(text), (n_states, n_states))
+
+
+def load_model(config_text: str, overrides=None) -> ExperimentConfig:
     """Parse and validate an experiment configuration document.
 
     Sections [model], [initial], [run], [output] with the keys of
-    CONFIG_KEYS; see README.  Raises ConfigError on malformed documents or
-    unknown keys and ValidationError with the offending key when a
-    requirement fails.
+    CONFIG_KEYS; see README.  `overrides` maps config keys to text that
+    replaces the document's value before anything is read, so an override
+    is parsed and checked like the file.  Raises ConfigError on malformed
+    documents, unknown keys and values that do not parse, naming the key,
+    and ValidationError with the offending key when a requirement fails.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(config_text)
     except configparser.Error as exc:
@@ -393,83 +397,75 @@ def load_model(config_text: str) -> ExperimentConfig:
     for section in ("model", "initial", "run"):
         if section not in parser:
             raise ConfigError(f"missing section [{section}]")
+    values = {}
     for section, known in CONFIG_KEYS.items():
         if section in parser:
             unknown = sorted(set(parser[section]) - set(known))
             if unknown:
                 raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
-    sec_m = parser["model"]
-    sec_i = parser["initial"]
-    sec_r = parser["run"]
-    sec_o = parser["output"] if "output" in parser else {}
+            values.update(parser[section])
+    unknown = sorted(set(overrides or ()) - {key for keys in CONFIG_KEYS.values() for key in keys})
+    if unknown:
+        raise ConfigError(f"unknown override key(s): {', '.join(unknown)}")
+    values.update(overrides or {})
 
-    try:
-        m = sec_m.getint("m", fallback=1)
-        n_points = sec_m.getint("grid_points")
-        if n_points is None:
-            raise ConfigError("missing key grid_points")
-        weights_text = sec_m.get("grid_weights", fallback=None)
-        weights = _parse_floats(weights_text) if weights_text else np.ones(n_points)
-        grid = MicroGrid(points=tuple(range(n_points)), weights=weights)
-        n_states = m * n_points
-        eps = sec_m.getfloat("eps", fallback=0.0)
-        n_max = sec_m.getint("n_max", fallback=2)
-        combined = np.tile(weights, m)
-        laws = {}
-        for kind, default in (("rate", "1.0"), ("kernel", "uniform")):
-            for law, arity in LAWS.items():
-                text = sec_m.get(f"{kind}_{law}", default)
-                laws[f"{kind}_{law}"] = (_parse_rate(text, (n_states,) * arity) if kind == "rate"
-                                         else _parse_kernel(text, arity, n_states, combined))
-        model = ModelSpec(m=m, grid=grid, eps=eps, n_max=n_max, **laws)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+    def read(key, parse, default=None):
+        """parse(text) of the key's text or default; a failure is a ConfigError naming the key."""
+        text = values.get(key, default)
+        if text is None:
+            raise ConfigError(f"missing key {key}")
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {text!r}") from exc
+
+    m = read("m", int, "1")
+    if m < 1:  # checked again by ModelSpec, but the kernels are built from m first
+        raise ValidationError("m: species count must be >= 1")
+    points = tuple(range(read("grid_points", int)))
+    weights = read("grid_weights", _floats) if values.get("grid_weights") else np.ones(len(points))
+    grid = MicroGrid(points=points, weights=weights)
+    n_states = m * len(points)
+    eps, n_max = read("eps", float, "0.0"), read("n_max", int, "2")
+    combined = np.tile(grid.weights, m)
+    laws = {f"{kind}_{law}": read(f"{kind}_{law}", lambda text: _law(
+                kind, text, arity, n_states, combined), default)
+            for kind, default in (("rate", "1.0"), ("kernel", "uniform"))
+            for law, arity in LAWS.items()}
+    model = ModelSpec(m=m, grid=grid, eps=eps, n_max=n_max, **laws)
 
     w = model.weights
-    tracer_text = sec_i.get("tracer0", "uniform").strip()
-    if tracer_text == "uniform":
-        tracer0 = np.full(n_states, 1.0 / np.sum(w))
-    else:
-        tracer0 = _parse_floats(tracer_text)
-    env_text = sec_i.get("env1", "uniform").strip()
-    if env_text == "uniform":
-        env1 = np.full(n_states, 1.0 / np.sum(w))
-    else:
-        env1 = _parse_floats(env_text)
-    g_text = sec_i.get("g", "chaos").strip()
-    g_pair = None
-    if g_text.startswith("sigma:"):
-        gamma = float(g_text.split(":", 1)[1])
-        sigma = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n_states)])
-        g_pair = 1.0 + gamma * np.multiply.outer(sigma, sigma)
-    elif g_text != "chaos":
-        flat = _parse_floats(g_text)
-        if flat.size != n_states * n_states:
-            raise ConfigError("g: inline table must cover the (tracer, env) pair sector")
-        g_pair = flat.reshape(n_states, n_states)
+
+    def profile_vector(text):
+        if text == "uniform":
+            return np.full(n_states, 1.0 / np.sum(w))
+        return _table(_floats(text), (n_states,))
+
     # carry correlation sectors beyond n_max so state functionals stay in range
-    profile = CorrelationProfile.factorized(model, tracer0, env1, g_pair=g_pair,
-                                            n_max=model.n_max + 2)
+    profile = CorrelationProfile.factorized(
+        model, read("tracer0", profile_vector, "uniform"), read("env1", profile_vector, "uniform"),
+        g_pair=read("g", lambda text: _pair_correlation(text, n_states), "chaos"), n_max=n_max + 2)
     profile.validate_normalization(w)
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         model=model,
         profile=profile,
-        activity=sec_i.getfloat("activity", fallback=1.0),
-        t_max=sec_r.getfloat("t_max", fallback=1.0),
-        dt=sec_r.getfloat("dt", fallback=1e-3),
-        series_order=sec_r.getint("series_order", fallback=min(1, n_max)),
-        mc_trajectories=sec_r.getint("mc_trajectories", fallback=0),
-        seed=sec_r.getint("seed", fallback=0),
-        out_dir=sec_o.get("dir", "results") if sec_o else "results",
-        out_format=sec_o.get("format", "csv") if sec_o else "csv",
+        activity=read("activity", float, "1.0"),
+        t_max=read("t_max", float, "1.0"),
+        dt=read("dt", float, "1e-3"),
+        series_order=read("series_order", int, str(min(1, n_max))),
+        mc_trajectories=read("mc_trajectories", int, "0"),
+        seed=read("seed", int, "0"),
+        out_dir=read("dir", str, "results"),
+        out_format=read("format", str, "csv"),
     )
-    return config
 
 
-def load_model_file(path) -> ExperimentConfig:
+def load_model_file(path, overrides=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
+        return load_model(fh.read(), overrides)
 
 
 def build_initial_state(profile: CorrelationProfile, model: ModelSpec,

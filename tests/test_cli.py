@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -312,3 +313,106 @@ def test_non_finite_input_exits_1_naming_the_key(tmp_path, capsys, kind, edit, a
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}:")
     assert "Traceback" not in err
+
+
+def _edited(tmp_path, key, value):
+    """A copy of tiny_correlated.ini whose `key` line reads `key = value`."""
+    text, n = re.subn(rf"(?m)^{key} = .*$", lambda _: f"{key} = {value}", read(TINY_CORRELATED))
+    assert n == 1
+    path = tmp_path / "model.ini"
+    path.write_text(text)
+    return str(path)
+
+
+MALFORMED = [
+    ("m", "1.5", None),
+    ("grid_points", "two", None),
+    ("grid_weights", "1.0 x", None),
+    ("eps", "abc", "--eps"),
+    ("n_max", "2.5", None),
+    ("rate_tracer", "constant:abc", None),
+    ("rate_int", "1 2 3", None),
+    ("kernel_tracer", "constant:x", None),
+    ("kernel_int", "0.5", None),  # a kernel is never one bare number
+    ("tracer0", "0.7 abc", None),
+    ("tracer0", "0.5 0.3 0.2", None),
+    ("env1", "1.0", None),
+    ("g", "sigma:x", None),
+    ("activity", "x", None),
+    ("t_max", "abc", "--t-max"),
+    ("t_max", "0.5%", "--t-max"),
+    ("dt", "abc", "--dt"),
+    ("series_order", "x", "--order"),
+    ("mc_trajectories", "many", None),
+    ("seed", "x", "--seed"),
+]
+MALFORMED_CASES = [(key, value, None) for key, value, _ in MALFORMED] + [
+    (key, value, flag) for key, value, flag in MALFORMED if flag is not None]
+
+
+@pytest.mark.parametrize("key, value, flag", MALFORMED_CASES, ids=[
+    f"{key} = {value}" if flag is None else f"{flag} {value}"
+    for key, value, flag in MALFORMED_CASES])
+def test_malformed_value_exits_1_naming_the_key(tmp_path, capsys, key, value, flag):
+    # a value that does not parse fails alike from the file and from its flag
+    if flag is None:
+        args = ("--config", _edited(tmp_path, key, value))
+    else:
+        args = ("--config", TINY_CORRELATED, flag, value)
+    code = run_cli("run", *args, "--kind", "cluster-verify", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:")
+    assert "Traceback" not in err
+
+
+def test_percent_is_a_literal_character(tmp_path):
+    out = str(tmp_path / "out%")
+    path = _edited(tmp_path, "dir", out)
+    assert run_cli("run", "--config", path, "--kind", "cluster-verify") == 0
+    assert os.path.exists(os.path.join(out, "metadata.json"))
+    override = str(tmp_path / "o")
+    assert run_cli("run", "--config", path, "--kind", "cluster-verify", "--out", override) == 0
+    assert os.path.exists(os.path.join(override, "metadata.json"))
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_species_count_below_1_exits_1(tmp_path, capsys, m):
+    code = run_cli("run", "--config", _edited(tmp_path, "m", m), "--kind", "cluster-verify",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: m: species count must be >= 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, code", [
+    (("--kind", "duality-sweep"), 1),
+    (("--kind", "fp-trajectory", "--t-max", "0.01"), 0),
+])
+def test_sector_beyond_the_partition_cap_exits_1(tmp_path, capsys, args, code):
+    # duality-sweep at n_max 8 reaches a 9-slot sector; fp-trajectory at order 1 stays below
+    assert run_cli("run", "--config", _edited(tmp_path, "n_max", "8"), *args,
+                   "--out", str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: n_max: 8 needs a partition of 9 cluster labels")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--kind", "cluster-verify"),
+    ("run", "--config", TINY_CORRELATED, "--kind", "nope"),
+    ("run", "--config", TINY_CORRELATED, "--kind", "cluster-verify", "--bogus", "1"),
+    ("run", "--config", TINY_CORRELATED, "--kind", "cluster-verify", "--format", "xml"),
+], ids=["missing-config", "unknown-kind", "unknown-flag", "format-xml"])
+def test_usage_error_exits_1(tmp_path, capsys, args):
+    # exit 2 is reserved for tolerance failures
+    assert run_cli(*args, "--out", str(tmp_path / "o")) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [("--help",), ("run", "--help")])
+def test_help_exits_0(capsys, args):
+    assert run_cli(*args) == 0
+    assert "usage: kinlab" in capsys.readouterr().out

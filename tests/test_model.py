@@ -110,6 +110,23 @@ def test_load_accepts_every_documented_key():
     assert (config.seed, config.out_dir, config.out_format) == (3, "out", "json")
 
 
+def test_override_reads_like_the_same_edit_in_the_file():
+    # an override replaces the document's text before anything is read
+    edits = {"eps": "0.1", "series_order": "0", "t_max": "0.3", "dt": "0.01", "seed": "7",
+             "dir": "out%", "format": "json"}
+    base = TINY_TEXT.replace("[run]", "[run]\nseed = 0") + "\n[output]\ndir = d\nformat = csv\n"
+    edited = base
+    for key, value in edits.items():
+        edited, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", edited)
+        assert n == 1
+    overridden = load_model(base, overrides=edits)
+    from_file = load_model(edited)
+    assert overridden.key == from_file.key != load_model(base).key
+    assert (overridden.out_dir, overridden.out_format) == (from_file.out_dir, "json")
+    with pytest.raises(ConfigError, match=re.escape("unknown override key(s): order")):
+        load_model(base, overrides={"order": "0"})
+
+
 def test_inline_kernel_table_human_layout():
     # rows per source state, columns over targets; uniform written by hand
     text = TINY_TEXT.replace("kernel_tracer = uniform",
