@@ -6,7 +6,6 @@ from .model import (
     ConfigError,
     CorrelationProfile,
     ExperimentConfig,
-    KernelReport,
     MicroGrid,
     ModelSpec,
     ValidationError,
@@ -20,7 +19,6 @@ from .model import (
 )
 from .sectors import SectorFunction, SequenceState
 from .operators import (
-    GeneratorMatrix,
     TRACER,
     build_dual_generator,
     build_forward_generator,

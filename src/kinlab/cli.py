@@ -330,6 +330,12 @@ def _csv_to_json(text: str) -> str:
     return json.dumps([dict(zip(header, row)) for row in body], indent=2) + "\n"
 
 
+def _read_records(path: str) -> list:
+    """The rows of a table that `run` wrote, as CSV or as JSON, each a dict by column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh) if path.endswith(".json") else list(csv.DictReader(fh))
+
+
 def report(result_dir: str) -> int:
     meta_path = os.path.join(result_dir, "metadata.json")
     try:
@@ -351,32 +357,30 @@ def report(result_dir: str) -> int:
               f"(tolerance {check['tolerance']:.6g})")
         if "error" in check:
             print(f"    error: {check['error']}")
-    tidy_rows = []
+    tables = {}
     for name in sorted(os.listdir(result_dir)):
-        if not name.endswith(".csv") or name == "plot_data.csv":
-            continue
-        with open(os.path.join(result_dir, name), "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            for row in reader:
-                for col, val in zip(header, row):
-                    try:
-                        fval = float(val)
-                    except ValueError:
-                        continue
-                    tidy_rows.append((name[:-4], col, *row[:1], _fmt(fval)))
+        stem, ext = os.path.splitext(name)
+        if ext in (".csv", ".json") and name not in ("plot_data.csv", "metadata.json"):
+            tables[stem] = _read_records(os.path.join(result_dir, name))
+    tidy_rows = []
+    for stem, records in tables.items():
+        for rec in records:
+            first_key = next(iter(rec.values()))
+            for col, val in rec.items():
+                try:
+                    fval = float(val)
+                except ValueError:
+                    continue
+                tidy_rows.append((stem, col, first_key, _fmt(fval)))
     _write_atomic(os.path.join(result_dir, "plot_data.csv"),
                   _csv_text(("table", "column", "first_key", "value"), tidy_rows))
-    if meta.get("kind") == "eps-convergence":
-        path = os.path.join(result_dir, "eps_convergence.csv")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                pts = [(float(r["eps"]), float(r["abs_residual"]), r["K"]) for r in reader]
-            slope = _loglog_slope([p[0] for p in pts], [p[1] for p in pts])
-            print("  eps        K  residual      fitted_slope")
-            for eps, res, k in pts:
-                print(f"  {eps:<9g} {k:>2} {res:<13.6g} {slope:.3f}")
+    if meta.get("kind") == "eps-convergence" and "eps_convergence" in tables:
+        pts = [(float(r["eps"]), float(r["abs_residual"]), r["K"])
+               for r in tables["eps_convergence"]]
+        slope = _loglog_slope([p[0] for p in pts], [p[1] for p in pts])
+        print("  eps        K  residual      fitted_slope")
+        for eps, res, k in pts:
+            print(f"  {eps:<9g} {k:>2} {res:<13.6g} {slope:.3f}")
     print("result:", "all checks pass" if all_pass else "tolerance failures present")
     return 0
 

@@ -36,31 +36,23 @@ MAX_ELEMENTS = 8
 def enumerate_partitions(elements):
     """Yield every partition of `elements` exactly once (Bell(n) total).
 
-    Partitions are produced from restricted-growth strings; each partition
-    is a list of blocks, each block a list of elements in input order.
+    Each partition is a list of blocks, each block a list of elements in
+    input order.  The last element joins each block of every partition of
+    the others in turn, then opens its own block; so the partitions come in
+    lexicographic order of their restricted-growth strings, the order that
+    `partition_plan` and the summations over it follow.
     """
     items = list(elements)
-    n = len(items)
-    if n > MAX_ELEMENTS:
+    if len(items) > MAX_ELEMENTS:
         raise ValueError(f"partition enumeration capped at {MAX_ELEMENTS} elements")
-    if n == 0:
+    if not items:
         yield []
         return
-    codes = [0] * n
-    while True:
-        blocks = [[] for _ in range(max(codes) + 1)]
-        for item, c in zip(items, codes):
-            blocks[c].append(item)
-        yield blocks
-        # advance the restricted-growth string: a[i] may rise to max(a[:i]) + 1
-        i = n - 1
-        while i > 0 and codes[i] > max(codes[:i]):
-            i -= 1
-        if i == 0:
-            return
-        codes[i] += 1
-        for j in range(i + 1, n):
-            codes[j] = 0
+    last = items[-1]
+    for blocks in enumerate_partitions(items[:-1]):
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [block + [last]] + blocks[i + 1:]
+        yield blocks + [[last]]
 
 
 def enumerate_dissections(elements, max_parts: int):

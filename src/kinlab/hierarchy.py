@@ -139,7 +139,7 @@ def dual_bbgky_rhs(model: ModelSpec, current: SequenceState, s: int) -> SectorFu
     ws = workspace_for(model)
     gen = ws.generator(s, frozenset(range(s + 1)), "forward")
     shape = (model.n_states,) * (s + 1)
-    acc = (gen.matrix @ current[s].flat).reshape(shape)
+    acc = (gen @ current[s].flat).reshape(shape)
     if s >= 1:
         env = list(range(1, s + 1))
         lower = current[s - 1].data

@@ -37,7 +37,7 @@ from .combinatorics import (
 )
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec, ValidationError
-from .operators import TRACER, LatestTimeMemo, workspace_for
+from .operators import TRACER, workspace_for
 from .sectors import SectorFunction, SequenceState, embed_with_slots, slot_weights
 
 __all__ = [
@@ -93,13 +93,15 @@ class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
     Series terms, off-lattice column stacks, kinetic right-hand sides and
-    the duality lhs per observable are memoized for the latest |t| only,
-    like the model's semigroups.  The scattering route's operators act on
-    columns and keep nothing.  The one other time-dependent state is the
-    column lattice of the correlated terms (`_columns`): per sector, its
-    step and its latest index and value.  Every operator needs correlation
-    data up to its sector, so the profile's n_max caps s + n (and s + K for
-    functionals).
+    the duality lhs per observable live in the model's one latest-|t|
+    store, `ws.latest`, beside its semigroups, under keys that start with
+    the engine itself: two engines on one model share no entry, and a move
+    to a new |t| drops the values of both.  The scattering route's
+    operators act on columns and keep nothing.  The one other
+    time-dependent state is the column lattice of the correlated terms
+    (`_columns`): per sector, its step and its latest index and value.
+    Every operator needs correlation data up to its sector, so the
+    profile's n_max caps s + n (and s + K for functionals).
     """
 
     def __init__(self, model: ModelSpec, profile: CorrelationProfile):
@@ -108,7 +110,6 @@ class KineticEngine:
         self.model = model
         self.profile = profile
         self.ws = workspace_for(model)
-        self._memo = LatestTimeMemo()
         self._sectors: dict = {}
         self._readouts: dict = {}
         self._lattice: dict = {}
@@ -240,7 +241,7 @@ class KineticEngine:
                 cols = np.matmul(step, cols)
                 self._lattice[k] = (j + 1, cols, h, step)
                 return cols
-        return self._memo.get(t, ("columns", k), lambda: np.stack([
+        return self.ws.latest.get(t, (self, "columns", k), lambda: np.stack([
             term for _, term in
             partition_products(self.model, t, labels, k, "dual", start[0])]))
 
@@ -282,7 +283,7 @@ class KineticEngine:
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
         self._check_cap(n, "series term")
-        return self._memo.get(t, ("series", n), lambda: self._correlated_term(t, 0, n))
+        return self.ws.latest.get(t, (self, "series", n), lambda: self._correlated_term(t, 0, n))
 
     def _check_order(self, order: int) -> None:
         if order > self.model.n_max:
@@ -382,14 +383,14 @@ class KineticEngine:
         def build():
             model = self.model
             n = model.n_states
-            out = self.ws.generator(0, frozenset({TRACER}), "dual").matrix
+            out = self.ws.generator(0, frozenset({TRACER}), "dual")
             if order >= 1 and model.eps > 0:
                 # the pair functional of every tracer basis vector at once
                 f2 = self._state_functionals(t, np.eye(n), 1, order - 1, route, recon_order=order)
                 out = out + model.eps * self.collision_matrix(f2.reshape(n * n, n))
             return out
 
-        return self._memo.get(t, ("rhs", order, route), build)
+        return self.ws.latest.get(t, (self, "rhs", order, route), build)
 
     def fp_rhs(self, F1: np.ndarray, t: float, order: int, route: str = "resolvent") -> np.ndarray:
         return self.rhs_matrix(t, order, route=route) @ np.asarray(F1, dtype=float)
@@ -400,16 +401,17 @@ class KineticEngine:
 
         The non-Markovian right-hand side depends on absolute time through
         the cumulant operators, so stage operators are rebuilt per step; the
-        memo keeps the latest stage time, which the next stage or step reuses.
+        store keeps the latest stage time, which the next stage or step reuses.
         The stage times are j * h with h = dt/2, computed from the index j,
         and they are the engine's column lattice: past the first half step,
         the correlated terms at a new time are one batched product per
         sector, with no semigroup built.  Step i ends at (2i) * h, which is
-        i * dt exactly.  Once the first step has built E at h for every
-        sector, the workspace's semigroups at h are released.  A step with
-        mass drift beyond 1e-6 raises StepRejected.  dt must divide t_max to
-        a relative 1e-9, so the trajectory ends at steps * dt, which is t_max
-        itself unless that product rounds elsewhere; both must be finite.
+        i * dt exactly.  The first step builds E at h for every sector from
+        the workspace's semigroups, and its last stage, at 2h, evicts them
+        from the store.  A step with mass drift beyond 1e-6 raises
+        StepRejected.  dt must divide t_max to a relative 1e-9, so the
+        trajectory ends at steps * dt, which is t_max itself unless that
+        product rounds elsewhere; both must be finite.
         """
         if not t_max > 0:
             raise ValidationError("t_max: must be > 0")
@@ -440,8 +442,6 @@ class KineticEngine:
                 )
             f = f_new
             out.append(TracerDistribution(values=f.copy(), t=t_next, mass_drift=drift))
-            if i == 0:
-                self.ws.release_semigroups()
         return out
 
     # -- duality -----------------------------------------------------------------
@@ -462,7 +462,7 @@ class KineticEngine:
             raise ValueError("observable sequence shorter than n_max")
         # the lhs depends on neither order nor route: one build per (observable, t)
         key = tuple(initial_reduced[s].data.tobytes() for s in range(n_max + 1))
-        lhs = self._memo.get(t, ("lhs", key), lambda: SequenceState(tuple(
+        lhs = self.ws.latest.get(t, (self, "lhs", key), lambda: SequenceState(tuple(
             dual_bbgky_solution(model, initial_reduced, t, s) for s in range(n_max + 1)),
             kind="observable").pair(self.profile.chain_sequence(n_max), w))
         f1 = self.reduced_distribution(t, n_max).values
@@ -494,6 +494,6 @@ def _compositions_up_to(total: int, k: int):
 
 
 def engine_for(model: ModelSpec, profile: CorrelationProfile) -> KineticEngine:
-    """A fresh engine; semigroups are shared through the model's workspace."""
+    """A fresh engine; it shares the model's workspace and its latest-|t| store."""
     return KineticEngine(model, profile)
 

@@ -23,7 +23,6 @@ __all__ = [
     "ValidationError",
     "MicroGrid",
     "ModelSpec",
-    "KernelReport",
     "CorrelationProfile",
     "ExperimentConfig",
     "builtin_kernel",
@@ -107,20 +106,13 @@ def builtin_kernel(name: str, n_args: int, n_states: int, weights: np.ndarray) -
     raise ConfigError(f"unknown kernel built-in {name!r}")
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    passed: bool
-    max_deviation: float
-
-
-def validate_kernel(kernel: np.ndarray, grid: MicroGrid, m: int = 1) -> KernelReport:
-    """Check the normalization sum_v w(v) A(v; args) = 1 for every argument tuple."""
+def validate_kernel(kernel: np.ndarray, grid: MicroGrid, m: int = 1) -> float:
+    """Max deviation of sum_v w(v) A(v; args) from 1 over every argument tuple."""
     n = m * len(grid)
     if kernel.shape[0] != n:
         raise ValidationError("kernel: shape mismatch against grid")
     masses = np.tile(grid.weights, m) @ kernel.reshape(n, -1)
-    dev = float(np.max(np.abs(masses - 1.0))) if masses.size else 0.0
-    return KernelReport(passed=dev <= KERNEL_TOL, max_deviation=dev)
+    return float(np.max(np.abs(masses - 1.0))) if masses.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -173,11 +165,9 @@ class ModelSpec:
                 raise ValidationError(f"{key}: expected {1 + arity} axes of size {n}")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{key}: kernel positivity")
-            report = validate_kernel(arr, self.grid, self.m)
-            if not report.passed:
-                raise ValidationError(
-                    f"{key}: kernel normalization (max deviation {report.max_deviation:.3e})"
-                )
+            dev = validate_kernel(arr, self.grid, self.m)
+            if dev > KERNEL_TOL:
+                raise ValidationError(f"{key}: kernel normalization (max deviation {dev:.3e})")
             arr.setflags(write=False)
             object.__setattr__(self, key, arr)
 

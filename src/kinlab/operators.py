@@ -15,7 +15,6 @@ to within 1e-14 of the largest entry (tests/test_operators.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .sectors import SectorFunction
 
 __all__ = [
     "TRACER",
-    "GeneratorMatrix",
     "LatestTimeMemo",
     "Workspace",
     "workspace_for",
@@ -130,16 +128,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r.copy()  # r views `blocks`; a cached result must not keep them alive
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Explicit linear operator on one sector: system + environment + interaction."""
-
-    s: int
-    direction: str
-    selector: frozenset
-    matrix: np.ndarray = field(repr=False)
-
-
 def _one_slot_forward(rate: np.ndarray, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # L[u, v] = a(u) * (w(v) A(v; u) - delta_{uv})
     gain = rate[:, None] * (kernel.T * weights[None, :])
@@ -203,7 +191,8 @@ def _check_selector(s: int, selector: frozenset) -> None:
 _ONE_SLOT = {"forward": _one_slot_forward, "dual": _one_slot_dual}
 
 
-def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
+def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: str) -> np.ndarray:
+    """The generator matrix on sector s: system + environment + interaction."""
     if direction not in ("forward", "dual"):
         raise ValueError(f"unknown direction {direction!r}")
     _check_selector(s, selector)
@@ -225,8 +214,7 @@ def _build_generator(model: ModelSpec, s: int, selector: frozenset, direction: s
     if TRACER in selector and env_slots:
         for i in env_slots:
             interaction += model.eps * term(s, "int", (TRACER, i), direction)
-    return GeneratorMatrix(s=s, direction=direction, selector=frozenset(selector),
-                           matrix=system + environment + interaction)
+    return system + environment + interaction
 
 
 class LatestTimeMemo:
@@ -255,11 +243,13 @@ class LatestTimeMemo:
 
 
 class Workspace:
-    """Per-model time-independent data (all kept) and semigroups (latest |t| only).
+    """Per-model time-independent data (all kept) and the model's one latest-|t| store.
 
     The kept data are the collision blocks, generators, slot embeddings and
     `plans`, the partition plans of `combinatorics.partition_plan` per label
-    set.
+    set.  `latest` holds every time-dependent value of the model at the
+    latest |t| asked for: the semigroups under (s, selector, direction) and
+    each engine's values under keys that start with the engine.
 
     Environment slots are exchangeable and Lambda(X) is the identity off X,
     so e^(t Lambda(X)) on sector s is the semigroup of the canonical
@@ -277,9 +267,9 @@ class Workspace:
         self._blocks: dict = {}
         self._generators: dict = {}
         self._embeddings: dict = {}
-        self._semigroups = LatestTimeMemo()
+        self.latest = LatestTimeMemo()
 
-    def generator(self, s: int, selector: frozenset, direction: str) -> GeneratorMatrix:
+    def generator(self, s: int, selector: frozenset, direction: str) -> np.ndarray:
         key = (s, frozenset(selector), direction)
         if key not in self._generators:
             self._generators[key] = _build_generator(self.model, s, frozenset(selector), direction)
@@ -287,19 +277,15 @@ class Workspace:
 
     def semigroup(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
         selector = frozenset(selector)
-        return self._semigroups.get(t, (s, selector, direction),
-                                    lambda: self._semigroup(s, selector, t, direction))
-
-    def release_semigroups(self) -> None:
-        """Drop the semigroups of the latest |t|; a later lookup rebuilds what it needs."""
-        self._semigroups = LatestTimeMemo()
+        return self.latest.get(t, (s, selector, direction),
+                               lambda: self._semigroup(s, selector, t, direction))
 
     def _semigroup(self, s: int, selector: frozenset, t: float, direction: str) -> np.ndarray:
         env = sorted(selector - {TRACER})
         k = len(env)
         canonical = frozenset(range(0 if TRACER in selector else 1, k + 1))
         if s == k and selector == canonical:
-            return expm(t * self.generator(s, selector, direction).matrix)
+            return expm(t * self.generator(s, selector, direction))
         _check_selector(s, selector)
         return self.embedding(s, (TRACER, *env))(self.semigroup(k, canonical, t, direction))
 
@@ -335,7 +321,7 @@ def workspace_for(model: ModelSpec) -> Workspace:
     return ws
 
 
-def build_forward_generator(model: ModelSpec, s: int, selector) -> GeneratorMatrix:
+def build_forward_generator(model: ModelSpec, s: int, selector) -> np.ndarray:
     """Forward Liouville operator restricted to the selected slots.
 
     Spectator slots act as identity; the interaction term only appears when
@@ -344,12 +330,12 @@ def build_forward_generator(model: ModelSpec, s: int, selector) -> GeneratorMatr
     return workspace_for(model).generator(s, frozenset(selector), "forward")
 
 
-def build_dual_generator(model: ModelSpec, s: int, selector) -> GeneratorMatrix:
+def build_dual_generator(model: ModelSpec, s: int, selector) -> np.ndarray:
     """Adjoint of build_forward_generator in the weighted inner product."""
     return workspace_for(model).generator(s, frozenset(selector), "dual")
 
 
-def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction) -> SectorFunction:
+def evolve(gen: np.ndarray, t: float, f: SectorFunction) -> SectorFunction:
     """Apply e^(t * generator) to a sector function.
 
     This is a dense `expm` of the generator on the whole sector, outside the
@@ -359,9 +345,9 @@ def evolve(gen: GeneratorMatrix, t: float, f: SectorFunction) -> SectorFunction:
     (semigroup inverses are needed by the scattering cumulants); no
     positivity holds for it.
     """
-    if f.data.ndim != gen.s + 1:
-        raise ValueError(f"arity mismatch: generator sector {gen.s}, function arity {f.s}")
+    if gen.shape != (f.data.size,) * 2:
+        raise ValueError(f"arity mismatch: generator shape {gen.shape}, function arity {f.s}")
     if not np.all(np.isfinite(f.data)):
         raise ValueError("non-finite input")
-    out = expm(t * gen.matrix) @ f.flat
+    out = expm(t * gen) @ f.flat
     return SectorFunction(f.s, out.reshape(f.data.shape))

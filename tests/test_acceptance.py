@@ -54,8 +54,8 @@ def test_criterion_1_adjointness():
         rng = np.random.default_rng(17)
         w = model.weights
         for s in range(0, 4):
-            fw = build_forward_generator(model, s, full_selector(s)).matrix
-            du = build_dual_generator(model, s, full_selector(s)).matrix
+            fw = build_forward_generator(model, s, full_selector(s))
+            du = build_dual_generator(model, s, full_selector(s))
             shape = (model.n_states,) * (s + 1)
             for _ in range(100):
                 b = rng.standard_normal(shape)

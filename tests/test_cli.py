@@ -284,6 +284,24 @@ TINY_CORRELATED = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                "tiny_correlated.ini")
 
 
+def test_report_reads_json_tables_like_csv(tmp_path, capsys):
+    printed, plots = [], []
+    for fmt in ("csv", "json"):
+        out = str(tmp_path / fmt)
+        code = run_cli("run", "--config", TINY_CORRELATED, "--kind", "eps-convergence",
+                       "--out", out, "--format", fmt)
+        assert code == 2
+        assert os.path.exists(os.path.join(out, f"eps_convergence.{fmt}"))
+        capsys.readouterr()
+        assert run_cli("report", out) == 0
+        printed.append(capsys.readouterr().out)
+        plots.append(read(os.path.join(out, "plot_data.csv")))
+    assert "fitted_slope" in printed[1]
+    assert printed[0] == printed[1]
+    assert len(plots[1].splitlines()) > 1
+    assert plots[0] == plots[1]
+
+
 NON_FINITE_CASES = [
     ("duality-sweep", None, ("--t-max", "inf"), "t_max"),
     ("fp-trajectory", None, ("--t-max", "inf"), "t_max"),

@@ -45,6 +45,25 @@ def test_partitions_unique_and_complete():
     assert len(got) == 52
 
 
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+def test_partitions_come_in_restricted_growth_order():
+    # partition_plan and the summations over it follow this order
+    for n in range(MAX_ELEMENTS + 1):
+        codes = []
+        for blocks in enumerate_partitions(range(n)):
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+            assert all(b == sorted(b) for b in blocks)
+            code = [0] * n
+            for i, block in enumerate(blocks):
+                for item in block:
+                    code[item] = i
+            codes.append(tuple(code))
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert len(codes) == BELL[n]
+
+
 def test_partition_cap():
     with pytest.raises(ValueError):
         list(enumerate_partitions(range(MAX_ELEMENTS + 1)))

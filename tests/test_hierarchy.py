@@ -226,7 +226,7 @@ def test_hierarchy_rhs_reduces_to_free_part_without_interactions():
     from kinlab.operators import build_forward_generator, full_selector
     rhs = dual_bbgky_rhs(model, b, 2)
     gen = build_forward_generator(model, 2, full_selector(2))
-    np.testing.assert_allclose(rhs.flat, gen.matrix @ b[2].flat, atol=1e-13)
+    np.testing.assert_allclose(rhs.flat, gen @ b[2].flat, atol=1e-13)
 
 
 def test_hierarchy_rhs_s0_single_term(tiny_coupled):
@@ -235,7 +235,7 @@ def test_hierarchy_rhs_s0_single_term(tiny_coupled):
     from kinlab.operators import build_forward_generator, TRACER
     rhs = dual_bbgky_rhs(tiny_coupled, b, 0)
     gen = build_forward_generator(tiny_coupled, 0, {TRACER})
-    np.testing.assert_allclose(rhs.data, (gen.matrix @ b[0].flat), atol=1e-14)
+    np.testing.assert_allclose(rhs.data, (gen @ b[0].flat), atol=1e-14)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2, 3])

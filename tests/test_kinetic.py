@@ -326,7 +326,7 @@ def test_rhs_matrix_solves_once_per_build(coupled_engine, monkeypatch):
 def test_fp_rhs_free_part_only_without_coupling(free_engine):
     f = np.array([0.7, 0.3])
     got = free_engine.fp_rhs(f, 0.4, 2)
-    gen = free_engine.ws.generator(0, {TRACER}, "dual").matrix
+    gen = free_engine.ws.generator(0, {TRACER}, "dual")
     np.testing.assert_allclose(got, gen @ f, atol=1e-13)
     uniform = np.array([0.5, 0.5])
     np.testing.assert_allclose(free_engine.fp_rhs(uniform, 0.4, 2), 0.0, atol=1e-13)
@@ -764,11 +764,38 @@ def test_scattering_route_memoizes_no_sector_operator():
     b0 = SequenceState(tuple(SectorFunction(s, rng.uniform(-1, 1, (2,) * (s + 1)))
                              for s in range(3)), kind="observable")
     eng.duality_check(b0, 0.4, 1, route="scattering")
-    held = list(eng._memo._values.values())
+    held = [value for key, value in eng.ws.latest._values.items() if key[1] is eng]
     assert held
     # tracer-space matrices and column stacks only: no dim x dim operator of a sector
     assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == v.shape[1] > 2
                    for v in held)
+
+
+def _engine_values(eng, t):
+    b0 = SequenceState(tuple(SectorFunction(s, np.full((2,) * (s + 1), 0.3 + s))
+                             for s in range(3)), kind="observable")
+    report = eng.duality_check(b0, t, 1)
+    return [eng.series_matrix(t, 2), eng.rhs_matrix(t, 1),
+            eng.state_functional(t, eng.profile.tracer0, 1, 1).data,
+            np.array([report.lhs, report.rhs])]
+
+
+def test_two_engines_share_one_store_and_no_entry():
+    def build(profile):
+        model = tiny_model(eps=0.1, rate_env2=0.0, kernel_int="copy", n_max=2)
+        return KineticEngine(model, profile(model))
+
+    chaos = functools.partial(correlated_profile, gamma=0.0)
+    correlated = build(correlated_profile)
+    factorized = KineticEngine(correlated.model, chaos(correlated.model))
+    for t in (0.3, 0.7, 0.3):
+        for eng, profile in ((correlated, correlated_profile), (factorized, chaos)):
+            got = _engine_values(eng, t)
+            want = _engine_values(build(profile), t)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    store = correlated.ws.latest._values
+    assert {abs(key[0]) for key in store} == {0.3}
+    assert {correlated, factorized} <= {key[1] for key in store}
 
 
 def test_integrate_fp_releases_first_step_semigroups(coupled_engine):

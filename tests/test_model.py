@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kinlab.model import (
+    KERNEL_TOL,
     ConfigError,
     CorrelationProfile,
     MicroGrid,
@@ -70,8 +71,9 @@ def test_model_weights_built_once_and_read_only():
 def test_load_rejects_bad_kernel_normalization():
     bad = TINY_TEXT.replace("kernel_tracer = uniform",
                             "kernel_tracer = 0.45 0.45 0.5 0.5")
-    with pytest.raises(ValidationError, match="kernel normalization"):
+    with pytest.raises(ValidationError) as err:
         load_model(bad)
+    assert str(err.value) == "kernel_tracer: kernel normalization (max deviation 1.000e-01)"
 
 
 def test_load_rejects_negative_rate():
@@ -138,24 +140,19 @@ def test_inline_kernel_table_human_layout():
 
 def test_validate_kernel_uniform_passes():
     grid = MicroGrid(points=(0, 1), weights=np.ones(2))
-    report = validate_kernel(builtin_kernel("uniform", 1, 2, np.ones(2)), grid)
-    assert report.passed
-    assert report.max_deviation == 0.0
+    assert validate_kernel(builtin_kernel("uniform", 1, 2, np.ones(2)), grid) == 0.0
 
 
 def test_validate_kernel_copy_passes():
     grid = MicroGrid(points=(0, 1), weights=np.ones(2))
-    report = validate_kernel(builtin_kernel("copy", 2, 2, np.ones(2)), grid)
-    assert report.passed
+    assert validate_kernel(builtin_kernel("copy", 2, 2, np.ones(2)), grid) <= KERNEL_TOL
 
 
 def test_validate_kernel_scaled_row_fails():
     grid = MicroGrid(points=(0, 1), weights=np.ones(2))
     kernel = builtin_kernel("uniform", 1, 2, np.ones(2)).copy()
     kernel[:, 0] *= 1.1
-    report = validate_kernel(kernel, grid)
-    assert not report.passed
-    assert report.max_deviation == pytest.approx(0.1, abs=1e-12)
+    assert validate_kernel(kernel, grid) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_grid_rejects_nonpositive_weights():

@@ -310,7 +310,7 @@ def test_jump_table_matches_generator_and_channels(model):
         dense = np.zeros((hi - lo, hi - lo))
         np.add.at(dense, (np.repeat(np.arange(hi - lo), width), table.targets[lo:hi].ravel() - lo),
                   table.rates[lo:hi].ravel())
-        gen = build_forward_generator(model, n, full_selector(n)).matrix
+        gen = build_forward_generator(model, n, full_selector(n))
         off = ~np.eye(hi - lo, dtype=bool)
         assert np.max(np.abs(dense[off] - gen[off])) == 0.0
         for flat, (u, *env) in enumerate(np.ndindex(*(model.n_states,) * (n + 1))):

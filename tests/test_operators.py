@@ -26,15 +26,15 @@ from conftest import fp_stage_times, random_model
 
 def test_tiny_tracer_generator_matrix(tiny):
     gen = build_forward_generator(tiny, 0, {TRACER})
-    np.testing.assert_allclose(gen.matrix, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
+    np.testing.assert_allclose(gen, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
 
 
 def test_interaction_block_vanishes_without_coupling(tiny):
     # eps = 0: selected pair block is the tensor sum of one-slot operators
     gen = build_forward_generator(tiny, 1, {TRACER, 1})
-    lone_t = build_forward_generator(tiny, 0, {TRACER}).matrix
+    lone_t = build_forward_generator(tiny, 0, {TRACER})
     expected = np.kron(lone_t, np.eye(2)) + np.kron(np.eye(2), lone_t)
-    np.testing.assert_allclose(gen.matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(gen, expected, atol=1e-14)
 
 
 def test_zero_rates_give_zero_generator():
@@ -47,7 +47,7 @@ def test_zero_rates_give_zero_generator():
         kernel_env2=model.kernel_env2, kernel_int=model.kernel_int,
     )
     gen = build_forward_generator(zeroed, 2, full_selector(2))
-    assert np.max(np.abs(gen.matrix)) == 0.0
+    assert np.max(np.abs(gen)) == 0.0
 
 
 def test_selector_out_of_range(tiny):
@@ -58,7 +58,7 @@ def test_selector_out_of_range(tiny):
 def test_dual_tiny_matches_forward_symmetric_case(tiny):
     fw = build_forward_generator(tiny, 0, {TRACER})
     du = build_dual_generator(tiny, 0, {TRACER})
-    np.testing.assert_allclose(fw.matrix, du.matrix, atol=1e-15)
+    np.testing.assert_allclose(fw, du, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -73,8 +73,8 @@ def test_adjointness_random_models(seed, s):
     for _ in range(100):
         b = rng.standard_normal((model.n_states,) * (s + 1))
         f = rng.standard_normal((model.n_states,) * (s + 1))
-        lhs = sector_inner((fw.matrix @ b.reshape(-1)).reshape(b.shape), f, w)
-        rhs = sector_inner(b, (du.matrix @ f.reshape(-1)).reshape(f.shape), w)
+        lhs = sector_inner((fw @ b.reshape(-1)).reshape(b.shape), f, w)
+        rhs = sector_inner(b, (du @ f.reshape(-1)).reshape(f.shape), w)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-12
 
@@ -86,11 +86,11 @@ def test_dual_annihilates_mass_forward_annihilates_constants(s):
     fw = build_forward_generator(model, s, full_selector(s))
     du = build_dual_generator(model, s, full_selector(s))
     ones = np.ones((model.n_states,) * (s + 1)).reshape(-1)
-    assert np.max(np.abs(fw.matrix @ ones)) <= 1e-12
+    assert np.max(np.abs(fw @ ones)) <= 1e-12
     w = model.weights
     for _ in range(100):
         f = rng.uniform(0, 1, (model.n_states,) * (s + 1))
-        out = (du.matrix @ f.reshape(-1)).reshape(f.shape)
+        out = (du @ f.reshape(-1)).reshape(f.shape)
         total = out
         for _ in range(s + 1):
             total = np.tensordot(total, w, axes=([total.ndim - 1], [0]))
@@ -171,8 +171,8 @@ def test_adjointness_two_species(s):
     model = random_model(5, n_points=2, m=2, eps=0.2)
     rng = np.random.default_rng(31)
     w = model.weights
-    fw = build_forward_generator(model, s, full_selector(s)).matrix
-    du = build_dual_generator(model, s, full_selector(s)).matrix
+    fw = build_forward_generator(model, s, full_selector(s))
+    du = build_dual_generator(model, s, full_selector(s))
     shape = (model.n_states,) * (s + 1)
     for _ in range(50):
         b = rng.standard_normal(shape)
@@ -257,7 +257,7 @@ def test_semigroup_provider_matches_dense_expm(model, top):
     for s in range(top + 1):
         for sel in _selectors(s):
             for direction in ("forward", "dual"):
-                gen = build[direction](model, s, sel).matrix
+                gen = build[direction](model, s, sel)
                 for t in (0.6, -0.6):
                     np.testing.assert_allclose(ws.semigroup(s, sel, t, direction),
                                                expm(t * gen), rtol=0, atol=1e-13)
@@ -292,7 +292,7 @@ def test_expm_matches_a_long_double_reference():
     for model, top in cases:
         for s in range(top + 1):
             for b in build:
-                gen = b(model, s, full_selector(s)).matrix
+                gen = b(model, s, full_selector(s))
                 for t in (0.6, -0.6, -2.0):
                     ref = _longdouble_expm(t * gen)
                     err = np.max(np.abs(expm(t * gen) - ref))
@@ -302,7 +302,7 @@ def test_expm_matches_a_long_double_reference():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_expm_edges():
-    gen = build_dual_generator(random_model(2, n_points=3), 2, full_selector(2)).matrix
+    gen = build_dual_generator(random_model(2, n_points=3), 2, full_selector(2))
     np.testing.assert_array_equal(expm(0.0 * gen), np.eye(27))
     np.testing.assert_array_equal(expm(np.array([[0.7]])), [[np.exp(0.7)]])
     for bad in (np.nan, np.inf):
@@ -323,9 +323,9 @@ def test_expm_edges():
 def test_expm_stays_bounded_at_long_forward_times(tiny):
     # e^(t L) of a forward generator tends to a stochastic projector; the
     # trace-shifted e^A alone would overflow at t = 2000
-    gen = build_forward_generator(tiny, 0, full_selector(0)).matrix
+    gen = build_forward_generator(tiny, 0, full_selector(0))
     np.testing.assert_allclose(expm(2000.0 * gen), np.full((2, 2), 0.5), rtol=0, atol=1e-13)
-    gen = build_forward_generator(random_model(2, n_points=3), 2, full_selector(2)).matrix
+    gen = build_forward_generator(random_model(2, n_points=3), 2, full_selector(2))
     e = expm(2000.0 * gen)
     assert np.isfinite(e).all() and e.min() > -1e-12
     np.testing.assert_allclose(e.sum(axis=1), 1.0, rtol=0, atol=1e-12)
