@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .combinatorics import verify_cluster_expansion
+from .combinatorics import check_label_count, verify_cluster_expansion
 from .hierarchy import (
     additive_observable,
     additive_reduced_initial,
@@ -260,6 +260,18 @@ RUNNERS = {
     "mc-vs-exact": run_mc_vs_exact,
 }
 
+# the most cluster labels each kind partitions, checked before it runs: the
+# duality checks expand the dual hierarchy and the tracer series up to sector
+# n_max, the kinetic equation the series up to its order; cluster-verify
+# stops at s = n = 2, and mc-vs-exact partitions nothing
+PARTITION_LABELS = {
+    "cluster-verify": lambda config: 3,
+    "duality-sweep": lambda config: config.model.n_max + 1,
+    "eps-convergence": lambda config: config.model.n_max + 1,
+    "fp-trajectory": lambda config: config.series_order + 1,
+    "mc-vs-exact": lambda config: 0,
+}
+
 
 # the run flags that override a config key, as flag -> key; load_model reads
 # their text the way it reads the file's
@@ -279,6 +291,7 @@ def run(config_path: str, kind: str, overrides: dict) -> int:
         return 3
     numerical_error = None
     try:
+        check_label_count(config.model, PARTITION_LABELS[kind](config))
         tables, checks = RUNNERS[kind](config)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -298,15 +311,15 @@ def run(config_path: str, kind: str, overrides: dict) -> int:
         "started_at": started,
         "finished_at": finished,
         "checks": checks,
+        "tables": [],
     }
     try:
         os.makedirs(config.out_dir, exist_ok=True)
         for name, text in tables.items():
             if config.out_format == "json":
-                body = _csv_to_json(text)
-                _write_atomic(os.path.join(config.out_dir, name.replace(".csv", ".json")), body)
-            else:
-                _write_atomic(os.path.join(config.out_dir, name), text)
+                name, text = name.replace(".csv", ".json"), _csv_to_json(text)
+            _write_atomic(os.path.join(config.out_dir, name), text)
+            meta["tables"].append(name)
         _write_atomic(os.path.join(config.out_dir, "metadata.json"),
                       json.dumps(meta, indent=2) + "\n")
     except OSError as exc:
@@ -357,11 +370,14 @@ def report(result_dir: str) -> int:
               f"(tolerance {check['tolerance']:.6g})")
         if "error" in check:
             print(f"    error: {check['error']}")
+    # the tables of this run only, whatever else the directory holds
     tables = {}
-    for name in sorted(os.listdir(result_dir)):
-        stem, ext = os.path.splitext(name)
-        if ext in (".csv", ".json") and name not in ("plot_data.csv", "metadata.json"):
-            tables[stem] = _read_records(os.path.join(result_dir, name))
+    for name in meta.get("tables", []):
+        try:
+            tables[os.path.splitext(name)[0]] = _read_records(os.path.join(result_dir, name))
+        except OSError as exc:
+            print(f"error: cannot read results: {exc}", file=sys.stderr)
+            return 3
     tidy_rows = []
     for stem, records in tables.items():
         for rec in records:

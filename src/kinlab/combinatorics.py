@@ -22,6 +22,7 @@ __all__ = [
     "MAX_ELEMENTS",
     "enumerate_partitions",
     "enumerate_dissections",
+    "check_label_count",
     "partition_plan",
     "partition_products",
     "cumulant_apply",
@@ -80,6 +81,13 @@ def _mobius(n_blocks: int) -> float:
     return (-1.0) ** (n_blocks - 1) * math.factorial(n_blocks - 1)
 
 
+def check_label_count(model: ModelSpec, count: int) -> None:
+    """Raise ValidationError, naming n_max, if `count` cluster labels exceed MAX_ELEMENTS."""
+    if count > MAX_ELEMENTS:
+        raise ValidationError(f"n_max: {model.n_max} needs a partition of {count} "
+                              f"cluster labels, above the cap of {MAX_ELEMENTS}")
+
+
 def partition_plan(model: ModelSpec, labels) -> tuple:
     """(mu, block unions) of every partition of the labels, in enumeration order.
 
@@ -92,9 +100,7 @@ def partition_plan(model: ModelSpec, labels) -> tuple:
     labels = tuple(frozenset(lab) for lab in labels)
     plans = workspace_for(model).plans
     if labels not in plans:
-        if len(labels) > MAX_ELEMENTS:
-            raise ValidationError(f"n_max: {model.n_max} needs a partition of {len(labels)} "
-                                  f"cluster labels, above the cap of {MAX_ELEMENTS}")
+        check_label_count(model, len(labels))
         seen: set = set()
         for lab in labels:
             if lab & seen:

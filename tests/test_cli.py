@@ -246,9 +246,9 @@ def test_fp_endpoint_check_reads_the_lattice(config_path, tmp_path, monkeypatch)
     expm = kinlab.operators.expm
     calls = []
 
-    def counted_expm(a):
+    def counted_expm(a, *orbit):
         calls.append(len(a))
-        return expm(a)
+        return expm(a, *orbit)
 
     monkeypatch.setattr(kinlab.operators, "expm", counted_expm)
     integrate_fp = KineticEngine.integrate_fp
@@ -300,6 +300,39 @@ def test_report_reads_json_tables_like_csv(tmp_path, capsys):
     assert printed[0] == printed[1]
     assert len(plots[1].splitlines()) > 1
     assert plots[0] == plots[1]
+
+
+def test_report_reads_only_the_tables_of_its_run(tmp_path, capsys):
+    # a cluster-verify run and then a JSON eps-convergence run into one
+    # directory: the report and plot_data.csv are those of the second run alone
+    shared, alone = str(tmp_path / "shared"), str(tmp_path / "alone")
+    assert run_cli("run", "--config", TINY_CORRELATED, "--kind", "cluster-verify",
+                   "--out", shared) == 0
+    for out in (shared, alone):
+        assert run_cli("run", "--config", TINY_CORRELATED, "--kind", "eps-convergence",
+                       "--out", out, "--format", "json") == 2
+    assert read_json(os.path.join(shared, "metadata.json"))["tables"] == ["eps_convergence.json"]
+    assert os.path.exists(os.path.join(shared, "cluster_verify.csv"))
+    printed, plots = [], []
+    for out in (shared, alone):
+        capsys.readouterr()
+        assert run_cli("report", out) == 0
+        printed.append(capsys.readouterr().out)
+        plots.append(read(os.path.join(out, "plot_data.csv")))
+    assert printed[0] == printed[1]
+    assert plots[0] == plots[1]
+    assert "cluster_verify" not in plots[0]
+    assert len(plots[0].splitlines()) > 1
+
+
+def test_report_of_a_missing_table_exits_3(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli("run", "--config", TINY_CORRELATED, "--kind", "cluster-verify",
+                   "--out", out) == 0
+    os.remove(os.path.join(out, "cluster_verify.csv"))
+    capsys.readouterr()
+    assert run_cli("report", out) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read results")
 
 
 NON_FINITE_CASES = [
@@ -407,6 +440,7 @@ def test_species_count_below_1_exits_1(tmp_path, capsys, m):
 @pytest.mark.parametrize("args, code", [
     (("--kind", "duality-sweep"), 1),
     (("--kind", "fp-trajectory", "--t-max", "0.01"), 0),
+    (("--kind", "cluster-verify"), 0),
 ])
 def test_sector_beyond_the_partition_cap_exits_1(tmp_path, capsys, args, code):
     # duality-sweep at n_max 8 reaches a 9-slot sector; fp-trajectory at order 1 stays below
@@ -416,6 +450,22 @@ def test_sector_beyond_the_partition_cap_exits_1(tmp_path, capsys, args, code):
     if code:
         assert err.startswith("error: n_max: 8 needs a partition of 9 cluster labels")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("--kind", "duality-sweep"),
+    ("--kind", "eps-convergence"),
+    ("--kind", "fp-trajectory", "--order", "8"),
+])
+def test_partition_cap_is_checked_before_any_work(tmp_path, capsys, monkeypatch, args):
+    def unreachable(*_):
+        raise AssertionError("expm reached before the partition cap was checked")
+
+    monkeypatch.setattr(kinlab.operators, "expm", unreachable)
+    assert run_cli("run", "--config", _edited(tmp_path, "n_max", "8"), *args,
+                   "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: n_max: 8 needs a partition of 9 cluster labels, above the cap of 8\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -1,16 +1,19 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinlab.operators
 from kinlab.model import tiny_model
 from kinlab.operators import (
+    ORBIT_MIN_DIM,
     TRACER,
     build_dual_generator,
     build_forward_generator,
@@ -19,6 +22,7 @@ from kinlab.operators import (
     full_selector,
     workspace_for,
 )
+from kinlab.operators import _orbit_map
 from kinlab.sectors import SectorFunction, sector_inner
 
 from conftest import fp_stage_times, random_model
@@ -348,3 +352,105 @@ def test_workspace_released_with_its_model():
     del model, ws
     gc.collect()
     assert ref() is None
+
+
+def _canonical_selectors(k):
+    return (frozenset(range(k + 1)), frozenset(range(1, k + 1)))
+
+
+def _permuted_slots(mat, n, k, perm):
+    """mat with environment slots 1..k relabelled by perm, on rows and columns alike."""
+    axes = (0,) + tuple(1 + p for p in perm)
+    axes = axes + tuple(k + 1 + a for a in axes)
+    return mat.reshape((n,) * (2 * k + 2)).transpose(axes).reshape(mat.shape)
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_canonical_generators_commute_with_environment_slot_permutations(seed):
+    # the symmetry the orbit path rests on; the bound was fixed before measuring
+    model = random_model(seed, n_points=3)
+    assert np.min(model.rate_env2) > 0
+    ws = workspace_for(model)
+    n = model.n_states
+    for k in (2, 3, 4):
+        for sel in _canonical_selectors(k):
+            for direction in ("forward", "dual"):
+                gen = ws.generator(k, sel, direction)
+                for perm in permutations(range(k)):
+                    diff = np.max(np.abs(_permuted_slots(gen, n, k, perm) - gen))
+                    assert diff <= 1e-14
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (2, 4), (3, 4)])
+def test_orbit_map_gathers_a_slot_symmetric_matrix(n, k):
+    # an integer matrix symmetrized over the environment slots is exactly
+    # invariant, so the gather from its representative columns is exact
+    om = _orbit_map(n, k)
+    dim = n ** (k + 1)
+    assert len(om.cols) == n * math.comb(n + k - 1, k)
+    digits = np.indices((n,) * (k + 1)).reshape(k + 1, dim)
+    assert np.all(np.diff(digits[1:, om.cols], axis=0) >= 0)
+    raw = np.random.default_rng(k).integers(-9, 10, (dim, dim)).astype(float)
+    sym = sum(_permuted_slots(raw, n, k, perm) for perm in permutations(range(k)))
+    thin = np.ascontiguousarray(sym[:, om.cols])
+    np.testing.assert_array_equal(om.gather(thin), sym)
+    np.testing.assert_array_equal(thin.reshape(-1)[om.rows], sym[om.cols])
+
+
+def test_sector_4_semigroup_on_orbit_columns_matches_dense_expm(monkeypatch):
+    # dim 243: the workspace passes the orbit map; the bound was fixed before measuring
+    model = random_model(5, n_points=3)
+    ws = workspace_for(model)
+    passed = []
+
+    def recording(a, *orbit):
+        passed.append((len(a), bool(orbit)))
+        return expm(a, *orbit)
+
+    monkeypatch.setattr(kinlab.operators, "expm", recording)
+    for sel in _canonical_selectors(4):
+        for direction in ("forward", "dual"):
+            gen = ws.generator(4, sel, direction)
+            for t in (0.6, -0.6, 2.0, -2.0):
+                ref = expm(t * gen)
+                got = ws.semigroup(4, sel, t, direction)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert passed == [(243, True)] * 16
+
+
+def test_orbit_map_is_passed_from_its_threshold_dimension_up(monkeypatch):
+    # below ORBIT_MIN_DIM the dense path runs unchanged, and no map is passed
+    passed = {}
+
+    def recording(a, *orbit):
+        passed[len(a)] = bool(orbit)
+        return expm(a, *orbit)
+
+    monkeypatch.setattr(kinlab.operators, "expm", recording)
+    for model, top in ((random_model(1, n_points=3), 4), (random_model(1, n_points=2), 7)):
+        ws = workspace_for(model)
+        for k in range(top + 1):
+            for sel in _canonical_selectors(k):
+                if sel:
+                    ws.semigroup(k, sel, 0.3, "dual")
+    assert ORBIT_MIN_DIM == 243
+    assert passed == {dim: dim >= ORBIT_MIN_DIM
+                      for dim in (2, 4, 8, 16, 32, 64, 128, 256, 3, 9, 27, 81, 243)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_expm_on_orbit_columns_keeps_every_check():
+    model = random_model(2, n_points=3)
+    gen = build_dual_generator(model, 4, full_selector(4))
+    om = workspace_for(model).orbit_map(4)
+    np.testing.assert_array_equal(expm(0.0 * gen, om), np.eye(243))
+    bad = gen.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(bad, om)
+    with pytest.raises(np.linalg.LinAlgError, match="the powers of the input overflow"):
+        expm(1e200 * gen, om)
+    shifted = gen + 1000.0 * np.eye(243)
+    with pytest.raises(np.linalg.LinAlgError, match="the result overflows"):
+        expm(shifted, om)
