@@ -273,6 +273,11 @@ PARTITION_LABELS = {
 }
 
 
+# the thread settings of the BLAS libraries numpy may load, recorded with
+# every run: a timing means little without them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 # the run flags that override a config key, as flag -> key; load_model reads
 # their text the way it reads the file's
 OVERRIDE_FLAGS = {"--out": "dir", "--seed": "seed", "--eps": "eps", "--order": "series_order",
@@ -310,6 +315,7 @@ def run(config_path: str, kind: str, overrides: dict) -> int:
         "version": __version__,
         "started_at": started,
         "finished_at": finished,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "checks": checks,
         "tables": [],
     }
@@ -362,6 +368,9 @@ def report(result_dir: str) -> int:
         return 3
     print(f"experiment: {meta.get('kind')}  config {meta.get('config_hash')} "
           f"seed {meta.get('seed')} version {meta.get('version')}")
+    threads = meta.get("blas_threads", {})
+    print("blas threads: " + " ".join(f"{name}={threads.get(name) or 'unset'}"
+                                      for name in BLAS_THREAD_VARIABLES))
     all_pass = True
     for check in meta.get("checks", []):
         status = "pass" if check["pass"] else "FAIL"

@@ -29,15 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import (
-    cumulant_apply,
-    enumerate_dissections,
-    partition_plan,
-    partition_products,
-)
+from .combinatorics import cumulant_apply, enumerate_dissections
 from .hierarchy import dual_bbgky_solution
 from .model import CorrelationProfile, ModelSpec, ValidationError
-from .operators import TRACER, workspace_for
+from .operators import TRACER, full_selector, workspace_for
 from .sectors import SectorFunction, SequenceState, embed_with_slots, slot_weights
 
 __all__ = [
@@ -92,16 +87,20 @@ class DualityReport:
 class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
-    Series terms, off-lattice column stacks, kinetic right-hand sides and
-    the duality lhs per observable live in the model's one latest-|t|
-    store, `ws.latest`, beside its semigroups, under keys that start with
-    the engine itself: two engines on one model share no entry, and a move
-    to a new |t| drops the values of both.  The scattering route's
-    operators act on columns and keep nothing.  The one other
-    time-dependent state is the column lattice of the correlated terms
-    (`_columns`): per sector, its step and its latest index and value.
-    Every operator needs correlation data up to its sector, so the
-    profile's n_max caps s + n (and s + K for functionals).
+    Series terms, off-lattice columns, kinetic right-hand sides and the
+    duality lhs per observable live in the model's one latest-|t| store,
+    `ws.latest`, beside its semigroups, under keys that start with the
+    engine itself: two engines on one model share no entry, and a move to
+    a new |t| drops the values of both.  The scattering route's operators
+    act on columns and keep nothing.  The one other time-dependent state is
+    the column lattice of the correlated terms (`_columns`): per sector,
+    its step and its latest index and value.  Every operator needs
+    correlation data up to its sector, so the profile's n_max caps s + n
+    (and s + K for functionals).
+
+    The correlated terms read one semigroup per sector, the tracer's: a
+    tracer-free block B of their cumulants drops out once its slots are
+    integrated, as w_B^T e^(t Lambda*(B)) = w_B^T, to `model.KERNEL_TOL`.
     """
 
     def __init__(self, model: ModelSpec, profile: CorrelationProfile):
@@ -110,8 +109,8 @@ class KineticEngine:
         self.model = model
         self.profile = profile
         self.ws = workspace_for(model)
-        self._sectors: dict = {}
-        self._readouts: dict = {}
+        self._w_env = [slot_weights(model.weights, m) for m in range(profile.n_max + 1)]
+        self._bases: dict = {}
         self._lattice: dict = {}
         self._collision = None
 
@@ -192,98 +191,96 @@ class KineticEngine:
 
     # -- correlated terms and the tracer series ------------------------------
 
-    def _sector(self, k: int):
-        """The slot partitions of sector k, built once, with their columns at t = 0.
+    def _basis(self, k: int):
+        """C_k, the columns at t = 0 of every correlated term that reads sector k.
 
-        Returns the `partition_plan` of the singletons {0}, ..., {k} and the
-        dressed tracer basis P_k = g[k] * env_reduced[k] (x) e_u, a
-        dim_k x n_states matrix, stacked once per partition.
+        Returns (C_k, where).  Block (s, n), for s <= k <= s + n <= the
+        profile's n_max, is (-1)^(n-m) / n! times the marginals of P_(s+n) on
+        the slots 0..s and R, summed over the m-subsets R of s+1..s+n, m =
+        k - s: dim_k x n_states, its first column where[s, n], and the blocks
+        of one s in the order of n.  Built on first use and kept.
         """
-        if k not in self._sectors:
-            n = self.model.n_states
-            labels = [frozenset({j}) for j in range(k + 1)]
-            plan = partition_plan(self.model, labels)
-            g = self.profile.g[k]
-            dress = g * self.profile.env_reduced[k][np.newaxis, ...] if k > 0 else g
-            basis = dress[..., np.newaxis] * np.eye(n).reshape((n,) + (1,) * k + (n,))
-            stack = np.broadcast_to(basis.reshape(-1, n), (len(plan), n ** (k + 1), n))
-            self._sectors[k] = (labels, plan, stack)
-        return self._sectors[k]
+        if k not in self._bases:
+            n_states, blocks = self.model.n_states, {}
+            for q in range(k, self.profile.n_max + 1):
+                dress = self.profile.g[q] * self.profile.env_reduced[q][np.newaxis, ...]
+                w_rest = self._w_env[q - k]
+                for kept in itertools.combinations(range(1, q + 1), k):
+                    rest = [slot for slot in range(1, q + 1) if slot not in kept]
+                    flat = dress.transpose((TRACER, *kept, *rest)).reshape(-1, w_rest.size)
+                    marginal = flat @ w_rest
+                    # it counts toward block (s, q - s) of every s whose slots 1..s it keeps
+                    for s in range(k + 1):
+                        if kept[:s] == tuple(range(1, s + 1)):
+                            blocks[s, q - s] = blocks.get((s, q - s), 0.0) + marginal
+            keys = sorted(blocks)
+            signs = [(-1.0) ** (n - k + s) / math.factorial(n) for s, n in keys]
+            basis = (np.stack([blocks[key] for key in keys], axis=-1) * signs).reshape(
+                (n_states,) * (k + 1) + (len(keys), 1))
+            tracer = np.eye(n_states).reshape((n_states,) + (1,) * k + (1, n_states))
+            self._bases[k] = ((basis * tracer).reshape(n_states ** (k + 1), -1),
+                              {key: n_states * i for i, key in enumerate(keys)})
+        return self._bases[k]
 
     def _columns(self, t: float, k: int) -> np.ndarray:
-        """W_k(t) = e^(t Lambda_pi) P_k for every partition pi of the slots 0..k.
+        """V_k(t) = e^(t Lambda*_k) C_k, Lambda*_k the dual generator of all of sector k.
 
-        Shape (Bell(k+1), dim_k, n_states).  The blocks of pi act on disjoint
-        slots, so their semigroups commute.  The sector's time lattice holds
-        the times j * h with the index j of its latest stack: t = 0 restarts
-        it at j = 0 with W = P, and the first positive time after that is
-        the step h, where E_pi = prod_B e^(h Lambda(B)) is built once.  Then
-        t == (j + 1) * h is one batched product E @ W, and t == j * h returns
-        the latest stack again.  Every other time, negative or off the
-        lattice, takes its products from the workspace, memoized for the
-        latest |t|, and leaves the lattice as it is.  Memory: two stacks per
-        sector, E and W.
+        The sector's lattice holds the times j * h and the index j of its
+        latest value: t = 0 restarts it at j = 0 with V = C, and the first
+        positive time after that is the step h, whose semigroup it copies.
+        Then t == (j + 1) * h is one product with it, and t == j * h returns
+        the latest value.  Any other time takes its semigroup from the
+        workspace, memoized for the latest |t|, and leaves the lattice as is.
         """
-        labels, plan, start = self._sector(k)
-        if t == 0:
-            _, _, h, step = self._lattice.get(k, (0, start, None, None))
-            self._lattice[k] = (0, start, h, step)
-            return start
         if t > 0 and k in self._lattice:
             j, cols, h, step = self._lattice[k]
             if j == 0 and t != h:
                 h = t
-                step = np.stack([term for _, term in
-                                 partition_products(self.model, t, labels, k, "dual", None)])
+                step = self.ws.semigroup(k, full_selector(k), t, "dual").copy()
             if t == j * h:
                 return cols
             if t == (j + 1) * h:
-                cols = np.matmul(step, cols)
+                cols = step @ cols
                 self._lattice[k] = (j + 1, cols, h, step)
                 return cols
-        return self.ws.latest.get(t, (self, "columns", k), lambda: np.stack([
-            term for _, term in
-            partition_products(self.model, t, labels, k, "dual", start[0])]))
+        start = self._basis(k)[0]
+        if t == 0:
+            _, _, h, step = self._lattice.get(k, (0, start, None, None))
+            self._lattice[k] = (0, start, h, step)
+            return start
+        return self.ws.latest.get(t, (self, "columns", k), lambda: (
+            self.ws.semigroup(k, full_selector(k), t, "dual") @ start))
 
-    def _readout(self, s: int, n: int):
-        """The fixed vectors that read the (s, n) correlated term off W_(s+n).
-
-        a holds mu(pi) / n! for every slot partition pi in which 0..s share a
-        block and 0 for the others; w_env is the `slot_weights` of the
-        environment slots s+1..s+n.
-        Built once per (s, n): Bell(s+n+1) + n_states^n floats.
-        """
-        if (s, n) not in self._readouts:
-            cluster = frozenset(range(s + 1))
-            _, plan, _ = self._sector(s + n)
-            a = np.array([mu if any(cluster <= union for union in unions) else 0.0
-                          for mu, unions in plan]) / math.factorial(n)
-            w_env = slot_weights(self.model.weights, n)
-            self._readouts[(s, n)] = (a, w_env)
-        return self._readouts[(s, n)]
-
-    def _correlated_term(self, t: float, s: int, n: int) -> np.ndarray:
+    def _correlated_term(self, t: float, s: int, n: int, top: int | None = None) -> np.ndarray:
         """Order-n term of the correlated (1+s)-sector series, as a map of tracer data.
 
         The dual cumulant of the cluster {tracer, 1..s} and the singles
-        s+1..s+n, applied to the dressed tracer basis P_(s+n), is the
-        Moebius-weighted sum of the columns W_(s+n)(t) over the slot
-        partitions in which 0..s share a block; the environment slots above
-        s are then integrated out.  Both are linear and fixed in time, so the
-        term is two products with the `_readout` vectors.  Returns shape
-        (n_states,)*(s+1) + (n_states,): its last axis takes the tracer data
-        (`@ f0`).
+        s+1..s+n on the dressed tracer basis P_(s+n) = g[s+n] *
+        env_reduced[s+n] (x) e_u, the slots above s integrated, over n!.  In
+        a partition with cluster block {0..s} + R the other blocks drop out,
+        and the Moebius weights of the partitions of the n - |R| other slots
+        sum to (-1)^(n-|R|): per m = |R|, the term reads block (s, n) of
+        V_(s+m)(t) and integrates its top m slots.  With `top`, the sum of
+        the orders n..top.  Returns shape (n_states,)*(s+1) + (n_states,):
+        the last axis takes the tracer data (`@ f0`).
         """
-        a, w_env = self._readout(s, n)
         n_states = self.model.n_states
-        cols = self._columns(t, s + n).reshape(len(a), -1)
-        total = (a @ cols).reshape(n_states ** (s + 1), n_states ** n, n_states)
-        return np.matmul(w_env, total).reshape((n_states,) * (s + 1) + (n_states,))
+        top = n if top is None else top
+        total = 0.0
+        for m in range(top + 1):
+            cols = self._columns(t, s + m)
+            where = self._bases[s + m][1]
+            first, stop = where[s, max(m, n)], where[s, top] + n_states
+            # rows (slots 0..s, top m slots, order): one product integrates and sums
+            cols = cols[:, first:stop].reshape(n_states ** (s + 1), -1, n_states)
+            total = total + np.matmul(self._w_env[m].repeat((stop - first) // n_states), cols)
+        return total.reshape((n_states,) * (s + 1) + (n_states,))
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
         self._check_cap(n, "series term")
-        return self.ws.latest.get(t, (self, "series", n), lambda: self._correlated_term(t, 0, n))
+        return self.ws.latest.get(t, (self, "series", n, n),
+                                  lambda: self._correlated_term(t, 0, n))
 
     def _check_order(self, order: int) -> None:
         if order > self.model.n_max:
@@ -293,7 +290,8 @@ class KineticEngine:
     def series_matrix(self, t: float, order: int) -> np.ndarray:
         """F0 -> F_(1+0)(t) at the given truncation order, at most the model n_max."""
         self._check_order(order)
-        return sum(self.series_term_matrix(t, n) for n in range(order + 1))
+        return self.ws.latest.get(t, (self, "series", 0, order),
+                                  lambda: self._correlated_term(t, 0, 0, order))
 
     def reduced_distribution(self, t: float, order: int) -> TracerDistribution:
         vals = self.series_matrix(t, order) @ self.profile.tracer0
@@ -343,7 +341,7 @@ class KineticEngine:
         if route == "resolvent":
             k_rec = order if recon_order is None else recon_order
             f0 = np.linalg.solve(self.series_matrix(t, k_rec), F)
-            return sum(self._correlated_term(t, s, n) for n in range(order + 1)) @ f0
+            return self._correlated_term(t, s, 0, order) @ f0
         if route != "scattering":
             raise ValueError(f"unknown route {route!r}")
         acc = 0.0
@@ -404,10 +402,10 @@ class KineticEngine:
         store keeps the latest stage time, which the next stage or step reuses.
         The stage times are j * h with h = dt/2, computed from the index j,
         and they are the engine's column lattice: past the first half step,
-        the correlated terms at a new time are one batched product per
-        sector, with no semigroup built.  Step i ends at (2i) * h, which is
-        i * dt exactly.  The first step builds E at h for every sector from
-        the workspace's semigroups, and its last stage, at 2h, evicts them
+        the correlated terms at a new time are one product per sector, with
+        no semigroup built.  Step i ends at (2i) * h, which is i * dt
+        exactly.  The first step takes the canonical semigroup at h of every
+        sector from the workspace, and its last stage, at 2h, evicts them
         from the store.  A step with mass drift beyond 1e-6 raises
         StepRejected.  dt must divide t_max to a relative 1e-9, so the
         trajectory ends at steps * dt, which is t_max itself unless that

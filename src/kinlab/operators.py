@@ -10,7 +10,7 @@ exponentials are exact workhorses.
 and squaring, in numpy alone and without a linear solve.  On generator
 exponentials of sectors up to dim 81 it agrees with a long-double reference
 to within 1e-14 of the largest entry (tests/test_operators.py).  From dim
-243 up the workspace's canonical semigroups are evaluated on their orbit
+128 up the workspace's canonical semigroups are evaluated on their orbit
 columns, within 1e-13 (relative) of the dense path.
 """
 
@@ -69,11 +69,12 @@ _TAYLOR_BLOCKS = {m: _taylor_blocks(m, p) for m, p, _ in _TAYLOR}
 
 # Canonical semigroups of this dimension and up are evaluated on their orbit
 # columns (`OrbitMap`).  Per call against the dense path (medians, one BLAS
-# thread, 2-core Xeon host): 0.74-0.86x as fast at dims 27-32, 1.07-1.10x at
-# dim 81, 3.6-4.5x at dim 243.  Building the map takes 0.14-0.28 ms at dims
-# 27-81, more than a few dim-81 calls save, and 0.5-1.1 ms at dim 243, less
-# than one call saves.
-ORBIT_MIN_DIM = 243
+# thread, 2-core Xeon host): 0.74-0.86x as fast at dims 27-32, 1.07-1.25x at
+# dims 64-81, 3.5x at dim 128, 2.6-4.5x at dim 243 and 6x at dim 256.
+# Building the map takes 0.14-0.28 ms at dims 27-81, more than a few calls
+# save there, and 0.24 ms at dim 128, 0.4-1.1 ms at dims 243-256, less than
+# one call saves.
+ORBIT_MIN_DIM = 128
 
 
 class OrbitMap(NamedTuple):

@@ -159,6 +159,30 @@ def test_fp_trajectory_and_report(config_path, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "plot_data.csv"))
 
 
+def test_run_records_the_blas_threads_and_report_prints_them(config_path, tmp_path,
+                                                             monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = str(tmp_path / "out")
+    assert run_cli("run", "--config", config_path, "--kind", "cluster-verify", "--out", out) == 0
+    meta = read_json(os.path.join(out, "metadata.json"))
+    assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                    "MKL_NUM_THREADS": None}
+    body = read(os.path.join(out, "cluster_verify.csv"))
+    capsys.readouterr()
+    assert run_cli("report", out) == 0
+    assert ("blas threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=2 MKL_NUM_THREADS=unset"
+            in capsys.readouterr().out.splitlines())
+    # the CSV body does not depend on them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    out2 = str(tmp_path / "out2")
+    assert run_cli("run", "--config", config_path, "--kind", "cluster-verify", "--out", out2) == 0
+    assert read(os.path.join(out2, "cluster_verify.csv")) == body
+    assert read_json(os.path.join(out2, "metadata.json"))["blas_threads"][
+        "OPENBLAS_NUM_THREADS"] == "4"
+
+
 def test_report_missing_directory_exits_3(tmp_path):
     assert run_cli("report", str(tmp_path / "missing")) == 3
 

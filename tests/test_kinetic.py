@@ -20,7 +20,7 @@ from kinlab.kinetic import KineticEngine, engine_for
 from kinlab.model import CorrelationProfile, ValidationError, build_initial_state, tiny_model
 from kinlab.operators import TRACER, full_selector, workspace_for
 from kinlab.sectors import (SectorFunction, SequenceState, embed_with_slots, integrate_env_slots,
-                            sector_inner)
+                            sector_inner, slot_weights)
 
 from conftest import correlated_profile, fp_stage_times, random_model
 
@@ -633,17 +633,18 @@ def test_column_lattice_memory_flat_in_the_step_count():
         tracemalloc.stop()
     # less than one column stack of the top sector: Bell(4) x 81 x 3 floats
     assert late - early <= 8 * 15 * 81 * 3
-    # the lattice holds sum_k Bell(k+1) (dim_k^2 + dim_k n_states) floats
+    # sector k holds a dim_k x n_states block per (s, n), s <= k <= s + n <= 3:
+    # (k + 1)(4 - k) of them
+    n_cols = {k: 3 * (k + 1) * (4 - k) for k in range(4)}
+    assert {k: basis.shape for k, (basis, _) in eng._bases.items()} == {
+        k: (3 ** (k + 1), n_cols[k]) for k in range(4)}
+    # the lattice holds the step dim_k^2 and V_k dim_k x n_cols floats per sector
     held = sum(step.nbytes + cols.nbytes for _, cols, _, step in eng._lattice.values())
-    assert held == 8 * sum(bell * (3 ** (2 * k + 2) + 3 ** (k + 2))
-                           for k, bell in enumerate((1, 2, 5, 15)))
-    # the readouts Bell(s+n+1) + n_states^n floats per (s, n): the series
-    # terms (0, 0..3) and the pair functional's (1, 0..2); the collision
-    # block n_states x n_states^2
-    bell = (1, 1, 2, 5, 15)
-    readouts = sum(a.nbytes + w_env.nbytes for a, w_env in eng._readouts.values())
-    assert sorted(eng._readouts) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
-    assert readouts == 8 * sum(bell[s + n + 1] + 3 ** n for s, n in eng._readouts)
+    assert held == 8 * sum(3 ** (2 * k + 2) + 3 ** (k + 1) * n_cols[k] for k in range(4))
+    assert held == 72288
+    # the bases as much again as the V_k; the collision block n_states x n_states^2
+    assert sum(basis.nbytes for basis, _ in eng._bases.values()) == 8 * sum(
+        3 ** (k + 1) * n_cols[k] for k in range(4))
     assert eng._collision.shape == (3, 9)
 
 
@@ -670,15 +671,35 @@ def _moebius_loop_term(model, profile, t, s, n):
     return np.moveaxis(integrate_env_slots(total, model.weights, s + 1), 0, -1) / math.factorial(n)
 
 
-@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def _asymmetric_profile_case():
+    """A 3-state model with environment pairs and a profile built directly,
+    whose g[k] and env_reduced[k] are random and not symmetric in the
+    environment slots."""
+    model = random_model(17, n_points=3, eps=0.2, n_max=3)
+    n = model.n_states
+    rng = np.random.default_rng(17)
+    tracer0 = rng.uniform(0.2, 1.0, n)
+    tracer0 /= tracer0 @ model.weights
+    g = (np.ones(n),) + tuple(rng.uniform(0.5, 1.5, (n,) * (k + 1)) for k in range(1, 4))
+    env = (np.array(1.0),) + tuple(rng.uniform(0.1, 1.0, (n,) * k) for k in range(1, 4))
+    assert np.max(np.abs(g[2] - g[2].transpose(0, 2, 1))) > 0.1
+    assert np.max(np.abs(env[2] - env[2].T)) > 0.1
+    return model, CorrelationProfile(tracer0=tracer0, env_reduced=env, g=g)
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES) + ["asymmetric-profile"])
 def test_correlated_term_matches_the_moebius_loop(case):
-    model, profile = LATTICE_CASES[case]()
+    if case in LATTICE_CASES:
+        model, profile = LATTICE_CASES[case]()
+        h = 0.005
+        lattice = [j * h for j in range(4)]
+        times, s_top = lattice + [-0.37, 0.123] + [4 * h, 5 * h], model.n_max
+    else:
+        model, profile = _asymmetric_profile_case()
+        times, s_top = (0.3, -0.25, 1.2), 2
     eng = engine_for(model, profile)
-    h = 0.005
-    lattice = [j * h for j in range(4)]
-    times = lattice + [-0.37, 0.123] + [4 * h, 5 * h]
     for t in times:
-        for s in range(model.n_max + 1):
+        for s in range(s_top + 1):
             # relative to the series the term belongs to: a higher-order term
             # is a cancellation of O(1) columns, exactly 0 at t = 0
             scale = np.max(np.abs(_moebius_loop_term(model, profile, t, s, 0)))
@@ -687,8 +708,32 @@ def test_correlated_term_matches_the_moebius_loop(case):
                 ref = _moebius_loop_term(model, profile, t, s, n)
                 assert got.shape == ref.shape == (model.n_states,) * (s + 2)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale
-    # the lattice times were read off the lattice, the others left it alone
-    assert {j for j, *_ in eng._lattice.values()} == {5}
+    if case in LATTICE_CASES:
+        # the lattice times were read off the lattice, the others left it alone
+        assert {j for j, *_ in eng._lattice.values()} == {5}
+
+
+@pytest.mark.parametrize("n_points", [2, 3])
+@pytest.mark.parametrize("t", [-0.4, 0.3, 2.0])
+def test_dual_semigroups_conserve_the_mass_of_their_slots(n_points, t):
+    # the correlated terms drop every tracer-free block on this identity:
+    # w_B^T e^(t Lambda*(X*)) = w_B^T on the slots B of the canonical X*,
+    # the tracer axis kept when X* holds no tracer; the bound was fixed
+    # before measuring
+    model = random_model(11 + n_points, n_points=n_points, eps=0.2, n_max=3)
+    assert np.min(model.rate_env2) > 0
+    ws, n, w = workspace_for(model), model.n_states, model.weights
+    for k in range(4):
+        w_all = slot_weights(w, k + 1)
+        sg = ws.semigroup(k, full_selector(k), t, "dual")
+        assert np.max(np.abs(w_all @ sg - w_all)) <= 1e-12 * np.max(w_all)
+        if k == 0:
+            continue
+        w_env = slot_weights(w, k)
+        sg = ws.semigroup(k, frozenset(range(1, k + 1)), t, "dual").reshape(n, n ** k, n, n ** k)
+        lhs = np.einsum("j,ujvl->uvl", w_env, sg)
+        rhs = np.eye(n)[:, :, np.newaxis] * w_env
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(w_env)
 
 
 def test_fp_endpoint_is_read_off_the_lattice(monkeypatch):
@@ -711,8 +756,8 @@ def test_fp_endpoint_is_read_off_the_lattice(monkeypatch):
     traj = eng.integrate_fp(profile.tracer0, 0.5, 0.01, 3)
     eng.reduced_distribution(0.5, 3)
     assert len(at_rhs) == 4 * 50
-    # every expm call falls in the first step; the endpoint builds nothing
-    assert len(expm_calls) == 7 and at_rhs[4] == 7
+    # one expm call per sector, all in the first step; the endpoint builds nothing
+    assert expm_calls == [3, 9, 27, 81] and at_rhs[4] == 4
     assert [td.t for td in traj] == [i * 0.01 for i in range(51)]
     assert traj[-1].t == 0.5
 
@@ -829,9 +874,10 @@ def test_integrate_fp_drops_the_semigroups_of_h_after_the_first_step(monkeypatch
     monkeypatch.setattr(kinlab.operators.Workspace, "_semigroup", kept)
     monkeypatch.setattr(KineticEngine, "fp_rhs", stamped)
     eng.integrate_fp(profile.tracer0, 0.5, 0.01, 3)
-    # every semigroup is built at t = h, and none outlives the first step
-    assert len(built) == 26
-    assert alive[:5] == [0, 0, 26, 26, 0]
+    # the canonical tracer semigroup of each sector is built at t = h, and
+    # none outlives the first step
+    assert len(built) == 4
+    assert alive[:5] == [0, 0, 4, 4, 0]
     assert not any(alive[4:])
 
 

@@ -418,6 +418,27 @@ def test_sector_4_semigroup_on_orbit_columns_matches_dense_expm(monkeypatch):
     assert passed == [(243, True)] * 16
 
 
+def test_sector_6_two_state_semigroup_on_orbit_columns_matches_dense_expm(monkeypatch):
+    # dim 128, the threshold itself: the tracer semigroup, forward and dual,
+    # goes through the map, within the bound of the dim-243 case
+    model = random_model(6, n_points=2, n_max=6)
+    ws = workspace_for(model)
+    passed = []
+
+    def recording(a, *orbit):
+        passed.append((len(a), bool(orbit)))
+        return expm(a, *orbit)
+
+    monkeypatch.setattr(kinlab.operators, "expm", recording)
+    for direction in ("forward", "dual"):
+        gen = ws.generator(6, full_selector(6), direction)
+        for t in (0.6, -0.6, 2.0):
+            ref = expm(t * gen)
+            got = ws.semigroup(6, full_selector(6), t, direction)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert passed == [(128, True)] * 6
+
+
 def test_orbit_map_is_passed_from_its_threshold_dimension_up(monkeypatch):
     # below ORBIT_MIN_DIM the dense path runs unchanged, and no map is passed
     passed = {}
@@ -433,7 +454,7 @@ def test_orbit_map_is_passed_from_its_threshold_dimension_up(monkeypatch):
             for sel in _canonical_selectors(k):
                 if sel:
                     ws.semigroup(k, sel, 0.3, "dual")
-    assert ORBIT_MIN_DIM == 243
+    assert ORBIT_MIN_DIM == 128
     assert passed == {dim: dim >= ORBIT_MIN_DIM
                       for dim in (2, 4, 8, 16, 32, 64, 128, 256, 3, 9, 27, 81, 243)}
 
