@@ -260,15 +260,14 @@ RUNNERS = {
     "mc-vs-exact": run_mc_vs_exact,
 }
 
-# the most cluster labels each kind partitions, checked before it runs: the
-# duality checks expand the dual hierarchy and the tracer series up to sector
-# n_max, the kinetic equation the series up to its order; cluster-verify
-# stops at s = n = 2, and mc-vs-exact partitions nothing
+# the most cluster labels each kind partitions, checked before it runs and
+# named by series_order, the one key a count varies with: only the duality
+# checks' scattering route partitions; cluster-verify stops at s = n = 2
 PARTITION_LABELS = {
     "cluster-verify": lambda config: 3,
-    "duality-sweep": lambda config: config.model.n_max + 1,
-    "eps-convergence": lambda config: config.model.n_max + 1,
-    "fp-trajectory": lambda config: config.series_order + 1,
+    "duality-sweep": lambda config: config.series_order + 1,
+    "eps-convergence": lambda config: config.series_order + 1,
+    "fp-trajectory": lambda config: 0,
     "mc-vs-exact": lambda config: 0,
 }
 
@@ -296,7 +295,7 @@ def run(config_path: str, kind: str, overrides: dict) -> int:
         return 3
     numerical_error = None
     try:
-        check_label_count(config.model, PARTITION_LABELS[kind](config))
+        check_label_count(PARTITION_LABELS[kind](config), "series_order", config.series_order)
         tables, checks = RUNNERS[kind](config)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

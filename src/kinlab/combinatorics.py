@@ -81,10 +81,10 @@ def _mobius(n_blocks: int) -> float:
     return (-1.0) ** (n_blocks - 1) * math.factorial(n_blocks - 1)
 
 
-def check_label_count(model: ModelSpec, count: int) -> None:
-    """Raise ValidationError, naming n_max, if `count` cluster labels exceed MAX_ELEMENTS."""
+def check_label_count(count: int, key: str, value) -> None:
+    """Raise ValidationError, naming `key` at `value`, if `count` cluster labels exceed MAX_ELEMENTS."""
     if count > MAX_ELEMENTS:
-        raise ValidationError(f"n_max: {model.n_max} needs a partition of {count} "
+        raise ValidationError(f"{key}: {value} needs a partition of {count} "
                               f"cluster labels, above the cap of {MAX_ELEMENTS}")
 
 
@@ -100,7 +100,7 @@ def partition_plan(model: ModelSpec, labels) -> tuple:
     labels = tuple(frozenset(lab) for lab in labels)
     plans = workspace_for(model).plans
     if labels not in plans:
-        check_label_count(model, len(labels))
+        check_label_count(len(labels), "n_max", model.n_max)
         seen: set = set()
         for lab in labels:
             if lab & seen:

@@ -3,7 +3,9 @@
 Everything here is cross-checked against the brute-force oracle
 `evolve_full`, which evolves whole sequences sector-by-sector with the
 full-sector generator; the reduced machinery has to reproduce its mean
-values exactly at truncation.
+values exactly at truncation.  The hierarchy's solution reads one canonical
+forward semigroup per sector and sums no partitions: its cumulant
+expansion collapses because the forward generator sends constants to zero.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import itertools
 
 import numpy as np
 
-from .combinatorics import cumulant_apply
 from .model import ModelSpec, ValidationError
-from .operators import TRACER, workspace_for
+from .operators import TRACER, full_selector, workspace_for
 from .sectors import (
     SectorFunction,
     SequenceState,
@@ -104,27 +105,28 @@ def mean_value_reduced(reduced_obs: SequenceState, reduced_state: SequenceState,
 
 
 def dual_bbgky_solution(model: ModelSpec, initial: SequenceState, t: float, s: int) -> SectorFunction:
-    """Cumulant-expansion solution of the dual hierarchy on sector s.
+    """Solution of the dual hierarchy on sector s, from the initial sequence.
 
-    B_(1+s)(t) = sum_{n<=s} sum over n-subsets X of the environment slots of
-    A_(1+n)(t, {tracer, Y\\X}, X) applied to the initial (1+s-n)-sector
-    embedded on the complement slots; an all-zero initial sector adds nothing
-    and is skipped.
+    Its cumulant expansion collapses on the forward law e^(t Lambda(B)) 1 = 1
+    (to `model.KERNEL_TOL`) and the Moebius identity (README "Library
+    sketch"): B_(1+s)(t) = sum_(k<=s) (-1)^(s-k) sum_(|Z|=k) e^(t Lambda_k) O_k
+    placed on the slots Z, O_k the sum over the subsets `kept` of 1..k of the
+    initial |kept|-sector placed on them.  Zero initial sectors and a zero
+    O_k are skipped.
     """
     if s > initial.n_max:
         raise ValueError("initial data missing for sector")
-    env = list(range(1, s + 1))
-    dim_shape = (model.n_states,) * (s + 1)
-    acc = np.zeros(dim_shape)
-    for n in range(0, s + 1):
-        if not np.any(initial[s - n].data):
+    ws = workspace_for(model)
+    acc = np.zeros((model.n_states,) * (s + 1))
+    for k in range(s + 1):
+        o_k = sum(embed_with_slots(initial[j].data, k, kept)
+                  for j in range(k + 1) if np.any(initial[j].data)
+                  for kept in itertools.combinations(range(1, k + 1), j))
+        if not np.any(o_k):
             continue
-        for removed in itertools.combinations(env, n):
-            kept = tuple(j for j in env if j not in removed)
-            merged = frozenset({TRACER} | set(kept))
-            labels = [merged] + [frozenset({j}) for j in removed]
-            vec = embed_with_slots(initial[s - n].data, s, kept).reshape(-1)
-            acc += cumulant_apply(model, t, labels, s, "forward", vec).reshape(dim_shape)
+        v_k = (ws.semigroup(k, full_selector(k), t, "forward") @ o_k.reshape(-1)).reshape(o_k.shape)
+        for slots in itertools.combinations(range(1, s + 1), k):
+            acc += (-1.0) ** (s - k) * embed_with_slots(v_k, s, slots)
     return SectorFunction(s, acc)
 
 
@@ -161,20 +163,5 @@ def dual_bbgky_rhs(model: ModelSpec, current: SequenceState, s: int) -> SectorFu
 
 def additive_solution(model: ModelSpec, o_tracer: np.ndarray, o_env: np.ndarray,
                       t: float, s: int) -> SectorFunction:
-    """Closed form of the hierarchy solution for additive initial data.
-
-    B_(1+s)(t) = A_(1+s)(t, tracer, 1..s) O_(1+0)
-               + sum_j A_s(t, {tracer, j}, remaining) O_(0+1)(u_j).
-    """
-    n = model.n_states
-    shape = (n,) * (s + 1)
-    env = list(range(1, s + 1))
-    labels = [frozenset({TRACER})] + [frozenset({j}) for j in env]
-    vec = embed_with_slots(np.asarray(o_tracer, dtype=float), s, ()).reshape(-1)
-    acc = cumulant_apply(model, t, labels, s, "forward", vec).reshape(shape)
-    for j in env:
-        rest = [frozenset({k}) for k in env if k != j]
-        labels = [frozenset({TRACER, j})] + rest
-        vec = embed_env_vector(np.asarray(o_env, dtype=float), s, j).reshape(-1)
-        acc += cumulant_apply(model, t, labels, s, "forward", vec).reshape(shape)
-    return SectorFunction(s, acc)
+    """`dual_bbgky_solution` of `additive_reduced_initial`, whose sectors 2 and up are zero."""
+    return dual_bbgky_solution(model, additive_reduced_initial(o_tracer, o_env, s), t, s)

@@ -36,6 +36,9 @@ __all__ = [
 
 KERNEL_TOL = 1e-12
 
+# the most bytes one array of a loaded model may take
+ARRAY_BUDGET_BYTES = 2 ** 24
+
 # the collision laws, each the fields rate_<law> and kernel_<law>, with the number
 # of entities the rate depends on, which is also the kernel's argument count
 LAWS = {"tracer": 1, "env1": 1, "env2": 2, "int": 2}
@@ -377,7 +380,9 @@ def load_model(config_text: str, overrides=None) -> ExperimentConfig:
     replaces the document's value before anything is read, so an override
     is parsed and checked like the file.  Raises ConfigError on malformed
     documents, unknown keys and values that do not parse, naming the key,
-    and ValidationError with the offending key when a requirement fails.
+    and ValidationError with the offending key when a requirement fails; a
+    model over ARRAY_BUDGET_BYTES is refused, naming n_max, before any of
+    its arrays is built.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -419,6 +424,12 @@ def load_model(config_text: str, overrides=None) -> ExperimentConfig:
     grid = MicroGrid(points=points, weights=weights)
     n_states = m * len(points)
     eps, n_max = read("eps", float, "0.0"), read("n_max", int, "2")
+    # the largest arrays: the profile's top sector and the generator of sector n_max
+    for what, exponent in (("profile top sector", n_max + 3), ("sector generator", 2 * n_max + 2)):
+        # past 2^64 floats every n_states > 1 is over budget: no exact count needed
+        if 8 * n_states ** min(exponent, 64) > ARRAY_BUDGET_BYTES:
+            raise ValidationError(f"n_max: {n_max} on {n_states} states needs a {what} of "
+                                  f"{n_states}^{exponent} floats, above {ARRAY_BUDGET_BYTES} bytes")
     combined = np.tile(grid.weights, m)
     laws = {f"{kind}_{law}": read(f"{kind}_{law}", lambda text: _law(
                 kind, text, arity, n_states, combined), default)

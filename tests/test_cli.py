@@ -462,34 +462,37 @@ def test_species_count_below_1_exits_1(tmp_path, capsys, m):
 
 
 @pytest.mark.parametrize("args, code", [
-    (("--kind", "duality-sweep"), 1),
-    (("--kind", "fp-trajectory", "--t-max", "0.01"), 0),
+    (("--kind", "duality-sweep", "--order", "8"), 1),
+    (("--kind", "fp-trajectory", "--order", "8", "--t-max", "0.01"), 0),
     (("--kind", "cluster-verify"), 0),
 ])
 def test_sector_beyond_the_partition_cap_exits_1(tmp_path, capsys, args, code):
-    # duality-sweep at n_max 8 reaches a 9-slot sector; fp-trajectory at order 1 stays below
+    # a duality kind at order 8 partitions 9 labels on the scattering route;
+    # the kinetic equation partitions none, at any order
     assert run_cli("run", "--config", _edited(tmp_path, "n_max", "8"), *args,
                    "--out", str(tmp_path / "o")) == code
     err = capsys.readouterr().err
     if code:
-        assert err.startswith("error: n_max: 8 needs a partition of 9 cluster labels")
+        assert err.startswith("error: series_order: 8 needs a partition of 9 cluster labels")
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [
-    ("--kind", "duality-sweep"),
-    ("--kind", "eps-convergence"),
-    ("--kind", "fp-trajectory", "--order", "8"),
+    ("--kind", "duality-sweep", "--order", "8"),
+    ("--kind", "eps-convergence", "--order", "8"),
+    ("--kind", "duality-sweep", "--order", "8", "--format", "json"),
 ])
 def test_partition_cap_is_checked_before_any_work(tmp_path, capsys, monkeypatch, args):
     def unreachable(*_):
         raise AssertionError("expm reached before the partition cap was checked")
 
     monkeypatch.setattr(kinlab.operators, "expm", unreachable)
+    out = tmp_path / "o"
     assert run_cli("run", "--config", _edited(tmp_path, "n_max", "8"), *args,
-                   "--out", str(tmp_path / "o")) == 1
+                   "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err == "error: n_max: 8 needs a partition of 9 cluster labels, above the cap of 8\n"
+    assert err == "error: series_order: 8 needs a partition of 9 cluster labels, above the cap of 8\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import kinlab.operators
+from kinlab.combinatorics import cumulant_apply
 from kinlab.hierarchy import (
     additive_observable,
     additive_reduced_initial,
@@ -19,6 +23,7 @@ from kinlab.model import (
     reduce_state,
     tiny_model,
 )
+from kinlab.operators import TRACER, full_selector, workspace_for
 from kinlab.sectors import SectorFunction, SequenceState, embed_env_vector, embed_with_slots
 
 from conftest import random_model
@@ -238,37 +243,86 @@ def test_hierarchy_rhs_s0_single_term(tiny_coupled):
     np.testing.assert_allclose(rhs.data, (gen @ b[0].flat), atol=1e-14)
 
 
+def _cumulant_loop(model, initial, t, s):
+    """The dual hierarchy's cumulant expansion, one `cumulant_apply` per (n, removed) pair."""
+    env = list(range(1, s + 1))
+    acc = np.zeros((model.n_states,) * (s + 1))
+    for n in range(s + 1):
+        for removed in itertools.combinations(env, n):
+            kept = tuple(j for j in env if j not in removed)
+            labels = [frozenset({TRACER, *kept})] + [frozenset({j}) for j in removed]
+            vec = embed_with_slots(initial[s - n].data, s, kept).reshape(-1)
+            acc += cumulant_apply(model, t, labels, s, "forward", vec).reshape(acc.shape)
+    return acc
+
+
+@pytest.mark.parametrize("n_points", [2, 3])
+@pytest.mark.parametrize("t", [-0.2, 0.3, 1.5])
+def test_dual_bbgky_solution_matches_the_cumulant_loop(n_points, t):
+    # the forward law e^(t Lambda(B)) 1 = 1 drops every tracer-free block,
+    # with environment pairs too; the bound is 1e-12 of the solution's scale
+    model = random_model(20 + n_points, n_points=n_points, eps=0.2, n_max=4)
+    assert np.min(model.rate_env2) > 0
+    b0 = random_sequence(np.random.default_rng(n_points), n_points, 4, "observable")
+    for s in range(5):
+        got = dual_bbgky_solution(model, b0, t, s).data
+        ref = _cumulant_loop(model, b0, t, s)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_additive_solution_agrees_with_general_expansion(s):
+    # the reference is the two-cumulant closed form: the tracer observable
+    # under the cumulant of all singles, O_(0+1)(u_j) under the one of
+    # {tracer, j} and the remaining singles
     model = tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=3)
     rng = np.random.default_rng(12)
     o_t = rng.uniform(-1, 1, 2)
     o_e = rng.uniform(-1, 1, 2)
-    b0 = additive_reduced_initial(o_t, o_e, 3)
+    env = list(range(1, s + 1))
+    singles = [frozenset({j}) for j in env]
+    vec = embed_with_slots(o_t, s, ()).reshape(-1)
+    ref = cumulant_apply(model, 0.7, [frozenset({TRACER})] + singles, s, "forward", vec)
+    for j in env:
+        vec = embed_env_vector(o_e, s, j).reshape(-1)
+        labels = [frozenset({TRACER, j})] + [single for single in singles if j not in single]
+        ref = ref + cumulant_apply(model, 0.7, labels, s, "forward", vec)
     direct = additive_solution(model, o_t, o_e, 0.7, s)
-    general = dual_bbgky_solution(model, b0, 0.7, s)
-    np.testing.assert_allclose(direct.data, general.data, atol=1e-11)
+    np.testing.assert_allclose(direct.flat, ref, atol=1e-11)
 
 
 def test_dual_bbgky_solution_skips_zero_initial_sectors(monkeypatch):
-    import kinlab.hierarchy
+    # one canonical forward semigroup per sector k <= s whose O_k is nonzero
     model = tiny_model(eps=0.1, rate_env2=1.0, kernel_int="copy", n_max=3)
-    o_t, o_e = np.array([0.3, -0.7]), np.array([1.0, -1.0])
-    b0 = additive_reduced_initial(o_t, o_e, 3)
-    apply = kinlab.hierarchy.cumulant_apply
-    applied = []
+    ws = workspace_for(model)
+    expm, semigroup = kinlab.operators.expm, ws.semigroup
+    dims, selectors = [], []
 
-    def counted(*args):
-        applied.append(len(args[2]))
-        return apply(*args)
+    def counted_expm(a, *orbit):
+        dims.append(len(a))
+        return expm(a, *orbit)
 
-    monkeypatch.setattr(kinlab.hierarchy, "cumulant_apply", counted)
-    out = dual_bbgky_solution(model, b0, 0.7, 3)
-    # sectors 2 and 3 of b0 are zero: only the 3 + 1 subsets X with
-    # |X| = 2 and 3 reach a cumulant, of 3 and 4 labels
-    assert sorted(applied) == [3, 3, 3, 4]
-    direct = additive_solution(model, o_t, o_e, 0.7, 3)
-    np.testing.assert_allclose(out.data, direct.data, atol=1e-11)
+    def recorded(s, selector, t, direction):
+        selectors.append((s, frozenset(selector)))
+        return semigroup(s, selector, t, direction)
+
+    monkeypatch.setattr(kinlab.operators, "expm", counted_expm)
+    monkeypatch.setattr(ws, "semigroup", recorded)
+    rng = np.random.default_rng(15)
+    only_3 = SequenceState(tuple(SectorFunction(k, rng.uniform(-1, 1, (2,) * (k + 1)) * (k == 3))
+                                 for k in range(4)), kind="observable")
+    out = dual_bbgky_solution(model, only_3, 0.7, 3)
+    # only sector 3's semigroup is read: B_(1+3)(t) = e^(t Lambda_3) B0_(1+3)
+    assert dims == [16] and selectors == [(3, full_selector(3))]
+    want = semigroup(3, full_selector(3), 0.7, "forward") @ only_3[3].flat
+    np.testing.assert_allclose(out.flat, want, atol=1e-13)
+    dims.clear()
+    selectors.clear()
+    b0 = random_sequence(rng, 2, 3, "observable")
+    dual_bbgky_solution(model, b0, -0.4, 3)
+    # at most s + 1 exponentials, all of canonical selectors
+    assert dims == [2, 4, 8, 16]
+    assert selectors == [(k, full_selector(k)) for k in range(4)]
 
 
 def test_additive_solution_s0(tiny_coupled):

@@ -718,8 +718,9 @@ def test_correlated_term_matches_the_moebius_loop(case):
 def test_dual_semigroups_conserve_the_mass_of_their_slots(n_points, t):
     # the correlated terms drop every tracer-free block on this identity:
     # w_B^T e^(t Lambda*(X*)) = w_B^T on the slots B of the canonical X*,
-    # the tracer axis kept when X* holds no tracer; the bound was fixed
-    # before measuring
+    # the tracer axis kept when X* holds no tracer; the dual hierarchy's
+    # solution drops them on its forward form, e^(t Lambda(X*)) 1_B = 1_B.
+    # The bound was fixed before measuring
     model = random_model(11 + n_points, n_points=n_points, eps=0.2, n_max=3)
     assert np.min(model.rate_env2) > 0
     ws, n, w = workspace_for(model), model.n_states, model.weights
@@ -727,6 +728,8 @@ def test_dual_semigroups_conserve_the_mass_of_their_slots(n_points, t):
         w_all = slot_weights(w, k + 1)
         sg = ws.semigroup(k, full_selector(k), t, "dual")
         assert np.max(np.abs(w_all @ sg - w_all)) <= 1e-12 * np.max(w_all)
+        sg = ws.semigroup(k, full_selector(k), t, "forward")
+        assert np.max(np.abs(sg.sum(axis=1) - 1.0)) <= 1e-12
         if k == 0:
             continue
         w_env = slot_weights(w, k)
@@ -734,6 +737,10 @@ def test_dual_semigroups_conserve_the_mass_of_their_slots(n_points, t):
         lhs = np.einsum("j,ujvl->uvl", w_env, sg)
         rhs = np.eye(n)[:, :, np.newaxis] * w_env
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(w_env)
+        sg = ws.semigroup(k, frozenset(range(1, k + 1)), t, "forward").reshape(n, n ** k, n, n ** k)
+        lhs = sg.sum(axis=3)
+        rhs = np.eye(n)[:, np.newaxis, :] * np.ones((1, n ** k, 1))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_fp_endpoint_is_read_off_the_lattice(monkeypatch):

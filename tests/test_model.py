@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import kinlab.model
 from kinlab.model import (
     KERNEL_TOL,
     ConfigError,
@@ -127,6 +128,28 @@ def test_override_reads_like_the_same_edit_in_the_file():
     assert (overridden.out_dir, overridden.out_format) == (from_file.out_dir, "json")
     with pytest.raises(ConfigError, match=re.escape("unknown override key(s): order")):
         load_model(base, overrides={"order": "0"})
+
+
+@pytest.mark.parametrize("n_points, n_max, what", [
+    (2, 70, "profile top sector"),
+    (2, 10, "sector generator"),
+    (3, 6, "sector generator"),
+    (200, 0, "profile top sector"),
+])
+def test_array_budget_refuses_a_model_before_building_it(monkeypatch, n_points, n_max, what):
+    # by arithmetic only: the refusal comes before a kernel or the profile is built
+    def unreachable(*_, **__):
+        raise AssertionError("a model array was built before the budget was checked")
+
+    edits = {"grid_points": str(n_points), "grid_weights": "", "n_max": str(n_max)}
+    largest = {2: 9, 3: 5, 200: None}[n_points]
+    if largest is not None:  # the largest n_max within the budget loads
+        assert load_model(TINY_TEXT, {**edits, "n_max": str(largest)}).model.n_max == largest
+    monkeypatch.setattr(kinlab.model, "builtin_kernel", unreachable)
+    monkeypatch.setattr(CorrelationProfile, "factorized", unreachable)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"n_max: {n_max} on {n_points} states needs a {what} of ")):
+        load_model(TINY_TEXT, edits)
 
 
 def test_inline_kernel_table_human_layout():
