@@ -101,6 +101,9 @@ class KineticEngine:
     The correlated terms read one semigroup per sector, the tracer's: a
     tracer-free block B of their cumulants drops out once its slots are
     integrated, as w_B^T e^(t Lambda*(B)) = w_B^T, to `model.KERNEL_TOL`.
+    The columns C_k they evolve are registered per request (`_plan`), one
+    pre-summed dim_k x n_states block per request and sector, so only
+    blocks a term reads are built, however deep the profile.
     """
 
     def __init__(self, model: ModelSpec, profile: CorrelationProfile):
@@ -111,6 +114,8 @@ class KineticEngine:
         self.ws = workspace_for(model)
         self._w_env = [slot_weights(model.weights, m) for m in range(profile.n_max + 1)]
         self._bases: dict = {}
+        self._offsets: dict = {}
+        self._plans: dict = {}
         self._lattice: dict = {}
         self._collision = None
 
@@ -191,36 +196,50 @@ class KineticEngine:
 
     # -- correlated terms and the tracer series ------------------------------
 
-    def _basis(self, k: int):
-        """C_k, the columns at t = 0 of every correlated term that reads sector k.
+    def _block(self, k: int, s: int, lo: int, top: int) -> np.ndarray:
+        """The blocks (s, lo..top) of sector k summed: their columns at t = 0.
 
-        Returns (C_k, where).  Block (s, n), for s <= k <= s + n <= the
-        profile's n_max, is (-1)^(n-m) / n! times the marginals of P_(s+n) on
-        the slots 0..s and R, summed over the m-subsets R of s+1..s+n, m =
-        k - s: dim_k x n_states, its first column where[s, n], and the blocks
-        of one s in the order of n.  Built on first use and kept.
+        Block (s, n), s <= k <= s + n, is (-1)^(n-m) / n! times the marginals
+        of P_(s+n) on the slots 0..s and R, summed over the m-subsets R of
+        s+1..s+n, m = k - s, times the tracer identity: dim_k x n_states.
         """
-        if k not in self._bases:
-            n_states, blocks = self.model.n_states, {}
-            for q in range(k, self.profile.n_max + 1):
-                dress = self.profile.g[q] * self.profile.env_reduced[q][np.newaxis, ...]
-                w_rest = self._w_env[q - k]
-                for kept in itertools.combinations(range(1, q + 1), k):
-                    rest = [slot for slot in range(1, q + 1) if slot not in kept]
-                    flat = dress.transpose((TRACER, *kept, *rest)).reshape(-1, w_rest.size)
-                    marginal = flat @ w_rest
-                    # it counts toward block (s, q - s) of every s whose slots 1..s it keeps
-                    for s in range(k + 1):
-                        if kept[:s] == tuple(range(1, s + 1)):
-                            blocks[s, q - s] = blocks.get((s, q - s), 0.0) + marginal
-            keys = sorted(blocks)
-            signs = [(-1.0) ** (n - k + s) / math.factorial(n) for s, n in keys]
-            basis = (np.stack([blocks[key] for key in keys], axis=-1) * signs).reshape(
-                (n_states,) * (k + 1) + (len(keys), 1))
-            tracer = np.eye(n_states).reshape((n_states,) + (1,) * k + (1, n_states))
-            self._bases[k] = ((basis * tracer).reshape(n_states ** (k + 1), -1),
-                              {key: n_states * i for i, key in enumerate(keys)})
-        return self._bases[k]
+        n_states, m = self.model.n_states, k - s
+        total = 0.0
+        for n in range(lo, top + 1):
+            q = s + n
+            dress = self.profile.g[q] * self.profile.env_reduced[q][np.newaxis, ...]
+            w_rest = self._w_env[q - k]
+            marginal = 0.0
+            for subset in itertools.combinations(range(s + 1, q + 1), m):
+                kept = (*range(1, s + 1), *subset)
+                rest = [slot for slot in range(s + 1, q + 1) if slot not in subset]
+                flat = dress.transpose((TRACER, *kept, *rest)).reshape(-1, w_rest.size)
+                marginal = marginal + flat @ w_rest
+            total = total + ((-1.0) ** (n - m) / math.factorial(n)) * marginal
+        tracer = np.eye(n_states)[:, np.newaxis, :]
+        return (total.reshape(n_states, -1, 1) * tracer).reshape(-1, n_states)
+
+    def _plan(self, s: int, n: int, top: int) -> list:
+        """(sector, first column, readout) per m = 0..top of the request (s, n, top).
+
+        Sector k = s + m contributes the blocks (s, max(m, n)..top), summed
+        into one block of C_k and registered on first use; a block another
+        request registered is shared.  The readout I (x) w^(x)m integrates
+        the top m slots.  Built on first use and kept.
+        """
+        key = (s, n, top)
+        if key not in self._plans:
+            n_states, plan = self.model.n_states, []
+            for m in range(top + 1):
+                k, block = s + m, (s + m, s, max(m, n), top)
+                if block not in self._offsets:
+                    basis = self._bases.get(k, np.empty((n_states ** (k + 1), 0)))
+                    self._offsets[block] = basis.shape[1]
+                    self._bases[k] = np.hstack([basis, self._block(*block)])
+                readout = np.kron(np.eye(n_states ** (s + 1)), self._w_env[m])
+                plan.append((k, self._offsets[block], readout))
+            self._plans[key] = plan
+        return self._plans[key]
 
     def _columns(self, t: float, k: int) -> np.ndarray:
         """V_k(t) = e^(t Lambda*_k) C_k, Lambda*_k the dual generator of all of sector k.
@@ -229,27 +248,34 @@ class KineticEngine:
         latest value: t = 0 restarts it at j = 0 with V = C, and the first
         positive time after that is the step h, whose semigroup it copies.
         Then t == (j + 1) * h is one product with it, and t == j * h returns
-        the latest value.  Any other time takes its semigroup from the
+        the latest value.  Blocks registered after the lattice left j = 0
+        join it at its next lattice time t, as e^(t Lambda*_k) times their
+        columns, once.  Any other time takes its semigroup from the
         workspace, memoized for the latest |t|, and leaves the lattice as is.
         """
+        basis = self._bases[k]
         if t > 0 and k in self._lattice:
             j, cols, h, step = self._lattice[k]
-            if j == 0 and t != h:
-                h = t
-                step = self.ws.semigroup(k, full_selector(k), t, "dual").copy()
-            if t == j * h:
-                return cols
+            if j == 0:
+                cols = basis
+                if t != h:
+                    h = t
+                    step = self.ws.semigroup(k, full_selector(k), t, "dual").copy()
             if t == (j + 1) * h:
-                cols = step @ cols
-                self._lattice[k] = (j + 1, cols, h, step)
+                j, cols = j + 1, step @ cols
+            if t == j * h:
+                if cols.shape[1] < basis.shape[1]:
+                    new = basis[:, cols.shape[1]:]
+                    cols = np.hstack([cols, self.ws.semigroup(k, full_selector(k), t, "dual") @ new])
+                self._lattice[k] = (j, cols, h, step)
                 return cols
-        start = self._basis(k)[0]
         if t == 0:
-            _, _, h, step = self._lattice.get(k, (0, start, None, None))
-            self._lattice[k] = (0, start, h, step)
-            return start
-        return self.ws.latest.get(t, (self, "columns", k), lambda: (
-            self.ws.semigroup(k, full_selector(k), t, "dual") @ start))
+            _, _, h, step = self._lattice.get(k, (0, basis, None, None))
+            self._lattice[k] = (0, basis, h, step)
+            return basis
+        # the width tells apart the stacks before and after a block registers
+        return self.ws.latest.get(t, (self, "columns", k, basis.shape[1]), lambda: (
+            self.ws.semigroup(k, full_selector(k), t, "dual") @ basis))
 
     def _correlated_term(self, t: float, s: int, n: int, top: int | None = None) -> np.ndarray:
         """Order-n term of the correlated (1+s)-sector series, as a map of tracer data.
@@ -261,19 +287,14 @@ class KineticEngine:
         and the Moebius weights of the partitions of the n - |R| other slots
         sum to (-1)^(n-|R|): per m = |R|, the term reads block (s, n) of
         V_(s+m)(t) and integrates its top m slots.  With `top`, the sum of
-        the orders n..top.  Returns shape (n_states,)*(s+1) + (n_states,):
-        the last axis takes the tracer data (`@ f0`).
+        the orders n..top; a term is linear in C_k, so its blocks are summed
+        before they evolve (`_plan`).  Returns shape (n_states,)*(s+1) +
+        (n_states,): the last axis takes the tracer data (`@ f0`).
         """
         n_states = self.model.n_states
-        top = n if top is None else top
         total = 0.0
-        for m in range(top + 1):
-            cols = self._columns(t, s + m)
-            where = self._bases[s + m][1]
-            first, stop = where[s, max(m, n)], where[s, top] + n_states
-            # rows (slots 0..s, top m slots, order): one product integrates and sums
-            cols = cols[:, first:stop].reshape(n_states ** (s + 1), -1, n_states)
-            total = total + np.matmul(self._w_env[m].repeat((stop - first) // n_states), cols)
+        for k, first, readout in self._plan(s, n, n if top is None else top):
+            total = total + readout @ self._columns(t, k)[:, first:first + n_states]
         return total.reshape((n_states,) * (s + 1) + (n_states,))
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:

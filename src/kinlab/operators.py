@@ -86,7 +86,8 @@ class OrbitMap(NamedTuple):
     rows permuted.  `cols` holds the representatives in increasing order,
     n * C(n + k - 1, k) of them; `index[i, j]` is the flat position of
     M[i, j] in the dim x len(cols) block of their columns, and `rows` is
-    `index[cols]`, the positions of the representative rows.
+    `index[cols]`, the positions of the representative rows; both are
+    C-contiguous, so a gather reads them in order.
     """
 
     cols: np.ndarray
@@ -111,8 +112,8 @@ def _orbit_map(n: int, k: int) -> OrbitMap:
     np.put_along_axis(weight, order, strides.astype(float), axis=1)
     perm = (weight @ digits).astype(np.intp)
     cols, column = np.unique(perm.diagonal(), return_inverse=True)
-    index = perm.T * len(cols) + column
-    return OrbitMap(cols, index, index[cols])
+    index = np.ascontiguousarray(perm.T * len(cols) + column)
+    return OrbitMap(cols, index, np.ascontiguousarray(index[cols]))
 
 
 def expm(a: np.ndarray, orbit: OrbitMap | None = None) -> np.ndarray:
@@ -217,7 +218,8 @@ def _orbit_taylor(x: np.ndarray, mu: float, orbit: OrbitMap) -> np.ndarray:
     np.dot(x, powers[1], out=powers[2])
     np.dot(x, powers[2], out=powers[3])
     # row sums are invariant too, so the representative rows hold the norm
-    m, p, s = _degree(*np.abs(flat[2:4, orbit.rows]).sum(axis=2).max(axis=1).tolist())
+    norms = np.abs(np.take(flat[2:4], orbit.rows, axis=1)).sum(axis=2).max(axis=1)
+    m, p, s = _degree(*norms.tolist())
     if s:
         for k in (1, 2, 3):
             np.ldexp(powers[k], -s * k, out=powers[k])

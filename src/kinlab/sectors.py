@@ -7,7 +7,6 @@ Observables, distributions and correlation functions all share this layout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,14 +26,23 @@ __all__ = [
 
 
 def symmetrize_env(data: np.ndarray) -> np.ndarray:
-    """Average a sector array over all permutations of the environment axes."""
+    """Average a sector array over all permutations of the environment axes.
+
+    The sum over the permutations of the slots 1..s factors into coset sums,
+    prod_(k=2..s) (1 + sum_(j<k) (j k)), so the average is s(s-1)/2 axis
+    swaps added in and one division by k per factor: after factor k the
+    array is symmetric in the slots 1..k.
+    """
     s = data.ndim - 1
     if s <= 1:
         return data
-    acc = np.zeros_like(data, dtype=float)
-    for perm in itertools.permutations(range(1, s + 1)):
-        acc += data.transpose((0,) + perm)
-    return acc / math.factorial(s)
+    out = np.asarray(data, dtype=float)
+    for k in range(2, s + 1):
+        acc = out.copy()
+        for j in range(1, k):
+            acc += np.swapaxes(out, j, k)
+        out = acc / k
+    return out
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,36 @@ def test_criterion_5a_duality_residual():
     assert elapsed < 120.0
 
 
+def test_identities_at_n_max_8():
+    # mean-value equivalence and the resolvent duality at K = n_max - 1, exact
+    # at matched order, on free and interacting environments; the bounds were
+    # fixed before measuring
+    t0 = time.time()
+    worst_mean = worst_duality = 0.0
+    for rate_env2 in (0.0, 1.0):
+        model = tiny_model(eps=0.05, rate_env2=rate_env2, kernel_int="copy", n_max=8)
+        profile = correlated_profile(model)
+        ensemble, reduced_state = build_initial_state(profile, model)
+        eng = engine_for(model, profile)
+        for t in (0.25, 0.5):
+            for o_tracer, o_env in (((1.0, 0.0), (1.0, -1.0)), ((0.3, -0.5), (0.2, 0.9))):
+                o_tracer, o_env = np.array(o_tracer), np.array(o_env)
+                obs_t = evolve_full(model, additive_observable(o_tracer, o_env, 8), t, "forward")
+                reduced_obs = SequenceState(
+                    tuple(reduce_observable(obs_t, s) for s in range(9)), kind="observable")
+                gap = abs(mean_value_full(obs_t, ensemble, model)
+                          - mean_value_reduced(reduced_obs, reduced_state, model))
+                worst_mean = max(worst_mean, gap)
+                b0 = additive_reduced_initial(o_tracer, o_env, 8)
+                rep = eng.duality_check(b0, t, 7, route="resolvent")
+                worst_duality = max(worst_duality, rep.abs_residual)
+    elapsed = time.time() - t0
+    assert report("n_max 8 mean-value equivalence", worst_mean, 1e-12, worst_mean <= 1e-12)
+    assert report("n_max 8 resolvent duality (K=7)", worst_duality, 1e-10,
+                  worst_duality <= 1e-10)
+    assert elapsed < 30.0
+
+
 def test_criterion_5b_duality_eps_sweep_slope():
     """Stated threshold K + 1.5; the faithful construction contracts at K + 1.
 

@@ -17,7 +17,8 @@ from kinlab.combinatorics import (cumulant_matrix, enumerate_dissections, partit
                                   partition_products)
 from kinlab.hierarchy import additive_reduced_initial
 from kinlab.kinetic import KineticEngine, engine_for
-from kinlab.model import CorrelationProfile, ValidationError, build_initial_state, tiny_model
+from kinlab.model import (CorrelationProfile, ValidationError, build_initial_state, load_model,
+                          tiny_model)
 from kinlab.operators import TRACER, full_selector, workspace_for
 from kinlab.sectors import (SectorFunction, SequenceState, embed_with_slots, integrate_env_slots,
                             sector_inner, slot_weights)
@@ -615,6 +616,55 @@ def test_column_lattice_interleaved_with_negative_and_off_lattice_times(monkeypa
     assert {j for j, *_ in eng._lattice.values()} == {len(grid) - 1}
 
 
+LOADED_FP_INI = """\
+[model]
+m = 1
+grid_points = 3
+grid_weights = 1.0 1.0 1.0
+eps = 0.1
+n_max = 3
+rate_tracer = 1.0
+rate_env1 = 1.0
+rate_env2 = 0.0
+rate_int = 1.0
+kernel_tracer = uniform
+kernel_env1 = uniform
+kernel_env2 = uniform
+kernel_int = copy
+
+[initial]
+tracer0 = 0.5 0.3 0.2
+env1 = 0.4 0.35 0.25
+g = sigma:0.2
+activity = 1.0
+
+[run]
+t_max = 0.5
+"""
+
+
+def _loaded_fp_case():
+    """A model of the fp-kinetic shape from `load_model`, whose profile is n_max + 2 deep."""
+    config = load_model(LOADED_FP_INI)
+    assert config.profile.n_max == config.model.n_max + 2 == 5
+    return config.model, config.profile
+
+
+def _assert_request_layout(eng):
+    # K = 3 reads two requests, the series (0, 0, 3) and the pair functional
+    # (1, 0, 2): one summed dim_k x n_states block each per sector they reach
+    n_cols = {0: 3, 1: 6, 2: 6, 3: 6}
+    assert {k: basis.shape for k, basis in eng._bases.items()} == {
+        k: (3 ** (k + 1), n_cols[k]) for k in range(4)}
+    # the lattice holds the step dim_k^2 and V_k dim_k x n_cols floats per sector
+    held = sum(step.nbytes + cols.nbytes for _, cols, _, step in eng._lattice.values())
+    assert held == 8 * sum(3 ** (2 * k + 2) + 3 ** (k + 1) * n_cols[k] for k in range(4))
+    assert held == 64728
+    # the bases as much again as the V_k; the collision block n_states x n_states^2
+    assert sum(basis.nbytes for basis in eng._bases.values()) == 5688
+    assert eng._collision.shape == (3, 9)
+
+
 def test_column_lattice_memory_flat_in_the_step_count():
     model, profile = _fp_kinetic_case()
     eng = engine_for(model, profile)
@@ -633,19 +683,17 @@ def test_column_lattice_memory_flat_in_the_step_count():
         tracemalloc.stop()
     # less than one column stack of the top sector: Bell(4) x 81 x 3 floats
     assert late - early <= 8 * 15 * 81 * 3
-    # sector k holds a dim_k x n_states block per (s, n), s <= k <= s + n <= 3:
-    # (k + 1)(4 - k) of them
-    n_cols = {k: 3 * (k + 1) * (4 - k) for k in range(4)}
-    assert {k: basis.shape for k, (basis, _) in eng._bases.items()} == {
-        k: (3 ** (k + 1), n_cols[k]) for k in range(4)}
-    # the lattice holds the step dim_k^2 and V_k dim_k x n_cols floats per sector
-    held = sum(step.nbytes + cols.nbytes for _, cols, _, step in eng._lattice.values())
-    assert held == 8 * sum(3 ** (2 * k + 2) + 3 ** (k + 1) * n_cols[k] for k in range(4))
-    assert held == 72288
-    # the bases as much again as the V_k; the collision block n_states x n_states^2
-    assert sum(basis.nbytes for basis, _ in eng._bases.values()) == 8 * sum(
-        3 ** (k + 1) * n_cols[k] for k in range(4))
-    assert eng._collision.shape == (3, 9)
+    _assert_request_layout(eng)
+
+
+def test_column_lattice_bytes_do_not_depend_on_the_profile_depth():
+    # load_model's profile carries n_max + 2 sectors; the engine builds only
+    # the blocks its requests read, the same as at depth n_max
+    model, profile = _loaded_fp_case()
+    eng = engine_for(model, profile)
+    for t in fp_stage_times(0.01, 3):
+        eng.rhs_matrix(t, 3)
+    _assert_request_layout(eng)
 
 
 def _moebius_loop_term(model, profile, t, s, n):
@@ -711,6 +759,50 @@ def test_correlated_term_matches_the_moebius_loop(case):
     if case in LATTICE_CASES:
         # the lattice times were read off the lattice, the others left it alone
         assert {j for j, *_ in eng._lattice.values()} == {5}
+
+
+def _moebius_series(model, profile, t, s, n, top):
+    return sum(_moebius_loop_term(model, profile, t, s, order) for order in range(n, top + 1))
+
+
+@pytest.mark.parametrize("off_lattice_first", [False, True], ids=["on-lattice", "off-lattice"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_requests_made_mid_lattice_join_it(case, reverse, off_lattice_first, monkeypatch):
+    # each request (s, n, top) registers its summed blocks on first use; one
+    # first made at lattice index 10 evolves its columns once and then rides
+    # the lattice, and one first made off the lattice waits for its next
+    # lattice time.  The bound was fixed before measuring
+    model, profile = LATTICE_CASES[case]()
+    n_max = model.n_max
+    eng = engine_for(model, profile)
+    calls = _counting_semigroups(monkeypatch)
+    times = list(fp_stage_times(0.01, 7))[::2]  # the half-step lattice 0, h, ..., 13h
+    # the top term registers a block in every sector at t = 0
+    late = [(0, n, n) for n in range(n_max)] + [(1, 0, 0), (1, 0, 2)]
+    if reverse:
+        late.reverse()
+
+    def check(t, requests):
+        """Whether the engine asked for a semigroup; the terms against the loop."""
+        before = len(calls)
+        got = [eng.series_term_matrix(t, n) if s == 0 else eng._correlated_term(t, s, n, top)
+               for s, n, top in requests]
+        built = len(calls) > before
+        for (s, n, top), term in zip(requests, got):
+            scale = np.max(np.abs(_moebius_loop_term(model, profile, t, s, 0)))
+            ref = _moebius_series(model, profile, t, s, n, top)
+            assert np.max(np.abs(term - ref)) <= 1e-13 * scale
+        return built
+
+    for j, t in enumerate(times):
+        if j == 10 and off_lattice_first:
+            assert check(-0.0437, late)
+        # the step at h builds one semigroup per sector, the late requests one at 10h
+        assert check(t, [(0, n_max, n_max)] + (late if j >= 10 else [])) == (j in (1, 10))
+    assert {j for j, *_ in eng._lattice.values()} == {len(times) - 1}
+    # and every block registered late rides the lattice
+    assert all(cols.shape == eng._bases[k].shape for k, (_, cols, _, _) in eng._lattice.items())
 
 
 @pytest.mark.parametrize("n_points", [2, 3])

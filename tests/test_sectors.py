@@ -14,6 +14,7 @@ from kinlab.sectors import (
     sector_inner,
     sector_mass,
     slot_weights,
+    symmetrize_env,
 )
 
 
@@ -31,6 +32,25 @@ def test_permuting_env_slots_is_identity_after_storage(seed):
     sec = SectorFunction(3, data)
     for perm in itertools.permutations(range(1, 4)):
         np.testing.assert_allclose(sec.data, sec.data.transpose((0,) + perm), atol=0)
+
+
+def _permutation_average(data):
+    perms = list(itertools.permutations(range(1, data.ndim)))
+    acc = np.zeros_like(data, dtype=float)
+    for perm in perms:
+        acc += data.transpose((0,) + perm)
+    return acc / len(perms)
+
+
+@pytest.mark.parametrize("n, s", [(3, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
+def test_symmetrize_env_matches_the_permutation_loop(n, s):
+    # the coset product against the sum over all s! permutations; the bound
+    # was fixed before measuring
+    data = np.random.default_rng(10 * n + s).standard_normal((n,) * (s + 1))
+    before = data.copy()
+    got = symmetrize_env(data)
+    assert np.max(np.abs(got - _permutation_average(data))) <= 1e-14 * np.max(np.abs(data))
+    np.testing.assert_array_equal(data, before)
 
 
 def test_sector_function_rejects_nonfinite():
