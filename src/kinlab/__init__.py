@@ -42,6 +42,7 @@ from .hierarchy import (
 )
 from .kinetic import (
     DualityReport,
+    IllConditioned,
     KineticEngine,
     StepRejected,
     TracerDistribution,

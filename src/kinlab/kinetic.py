@@ -38,6 +38,7 @@ from .sectors import SectorFunction, SequenceState, embed_with_slots, slot_weigh
 __all__ = [
     "TracerDistribution",
     "DualityReport",
+    "IllConditioned",
     "KineticEngine",
     "StepRejected",
     "engine_for",
@@ -47,9 +48,24 @@ log = logging.getLogger(__name__)
 
 RENORM_TOL = 1e-12
 
+# The resolvent route solves S(t) f0 = F, S(t) the truncated series matrix;
+# the solve's relative error grows as cond(S) = |S|_1 |S^-1|_1 times the
+# unit round-off u (Higham 2002, ch. 7), so past 1e8, about u^(-1/2), half
+# the digits of f0 can be lost.  The solve is refused there.
+COND_MAX = 1e8
+
+# Lattice times per chunk.  At the fp-kinetic shape (3 states, K = 3) one
+# time holds 5,688 bytes of columns and 360 of terms and right-hand side,
+# so a chunk holds at most 1,548,288 bytes, beside the steps' 59,040.
+CHUNK = 256
+
 
 class StepRejected(RuntimeError):
     """A kinetic-equation step broke mass conservation beyond tolerance."""
+
+
+class IllConditioned(np.linalg.LinAlgError):
+    """A resolvent solve met a series matrix conditioned beyond COND_MAX."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +100,24 @@ class DualityReport:
         return self.abs_residual / scale
 
 
+class _Chunk:
+    """The lattice times j0 .. j0 + size - 1 of an open run, evaluated together.
+
+    `cols[k]` holds V_k(j h) at each of them, size x dim_k x width; `values`
+    holds what is read off them, one array over the chunk's times per key,
+    built on first use.  `blocks` counts the blocks registered when the
+    columns were evolved.
+    """
+
+    def __init__(self, j0: int, size: int, cols: dict, blocks: int):
+        self.j0, self.size, self.cols, self.blocks, self.values = j0, size, cols, blocks, {}
+
+    def value(self, key, build):
+        if key not in self.values:
+            self.values[key] = build()
+        return self.values[key]
+
+
 class KineticEngine:
     """Operator factory bound to one (model, profile) pair.
 
@@ -93,10 +127,11 @@ class KineticEngine:
     engine itself: two engines on one model share no entry, and a move to
     a new |t| drops the values of both.  The scattering route's operators
     act on columns and keep nothing.  The one other time-dependent state is
-    the column lattice of the correlated terms (`_columns`): per sector,
-    its step and its latest index and value.  Every operator needs
-    correlation data up to its sector, so the profile's n_max caps s + n
-    (and s + K for functionals).
+    the lattice of the open run (`_open_run`), the times j * h that
+    `integrate_fp` will visit: the step e^(h Lambda*_k) per sector and one
+    `_Chunk` of at most CHUNK of those times, evaluated together.  Every
+    operator needs correlation data up to its sector, so the profile's
+    n_max caps s + n (and s + K for functionals).
 
     The correlated terms read one semigroup per sector, the tracer's: a
     tracer-free block B of their cumulants drops out once its slots are
@@ -116,7 +151,9 @@ class KineticEngine:
         self._bases: dict = {}
         self._offsets: dict = {}
         self._plans: dict = {}
-        self._lattice: dict = {}
+        self._run = None
+        self._steps: dict = {}
+        self._chunk = None
         self._collision = None
 
     def _check_cap(self, top: int, what: str) -> None:
@@ -242,40 +279,101 @@ class KineticEngine:
         return self._plans[key]
 
     def _columns(self, t: float, k: int) -> np.ndarray:
-        """V_k(t) = e^(t Lambda*_k) C_k, Lambda*_k the dual generator of all of sector k.
+        """V_k(t) = e^(t Lambda*_k) C_k off the lattice, Lambda*_k the dual generator of sector k.
 
-        The sector's lattice holds the times j * h and the index j of its
-        latest value: t = 0 restarts it at j = 0 with V = C, and the first
-        positive time after that is the step h, whose semigroup it copies.
-        Then t == (j + 1) * h is one product with it, and t == j * h returns
-        the latest value.  Blocks registered after the lattice left j = 0
-        join it at its next lattice time t, as e^(t Lambda*_k) times their
-        columns, once.  Any other time takes its semigroup from the
-        workspace, memoized for the latest |t|, and leaves the lattice as is.
+        The semigroup comes from the workspace, and V_k(t) is memoized for
+        the latest |t|; the lattice of the open run is left as it is.
         """
         basis = self._bases[k]
-        if t > 0 and k in self._lattice:
-            j, cols, h, step = self._lattice[k]
-            if j == 0:
-                cols = basis
-                if t != h:
-                    h = t
-                    step = self.ws.semigroup(k, full_selector(k), t, "dual").copy()
-            if t == (j + 1) * h:
-                j, cols = j + 1, step @ cols
-            if t == j * h:
-                if cols.shape[1] < basis.shape[1]:
-                    new = basis[:, cols.shape[1]:]
-                    cols = np.hstack([cols, self.ws.semigroup(k, full_selector(k), t, "dual") @ new])
-                self._lattice[k] = (j, cols, h, step)
-                return cols
-        if t == 0:
-            _, _, h, step = self._lattice.get(k, (0, basis, None, None))
-            self._lattice[k] = (0, basis, h, step)
-            return basis
         # the width tells apart the stacks before and after a block registers
         return self.ws.latest.get(t, (self, "columns", k, basis.shape[1]), lambda: (
             self.ws.semigroup(k, full_selector(k), t, "dual") @ basis))
+
+    # -- the lattice of a run --------------------------------------------------
+
+    def _open_run(self, h: float, last: int) -> None:
+        """Announce the lattice a run visits, the times j * h for j = 0..last; drop the last run's."""
+        self._run, self._steps, self._chunk = (h, last), {}, None
+
+    def _lattice_row(self, t: float):
+        """(chunk, row) of t if t is a lattice time j * h of the open run, else None.
+
+        The chunk holding j is built from j on if no open chunk holds it, or
+        if blocks were registered since the open one was built.
+        """
+        if self._run is None:
+            return None
+        h, last = self._run
+        j = t / h
+        if not 0 <= j <= last:
+            return None
+        j = round(j)
+        if j * h != t:
+            return None
+        chunk = self._chunk
+        if chunk is None or not 0 <= j - chunk.j0 < chunk.size or chunk.blocks != len(self._offsets):
+            chunk = self._evolve_chunk(j)
+        return chunk, j - chunk.j0
+
+    def _evolve_chunk(self, j: int) -> _Chunk:
+        """The chunk of the lattice indices j.. j + CHUNK - 1, none past the run's last.
+
+        It starts from V_k(j h) of every sector (`_start`); each later time
+        is one product with the step.  The open chunk goes first, so at most
+        one is held.
+        """
+        starts = {k: self._start(k, j) for k in self._bases}
+        size = min(CHUNK, self._run[1] + 1 - j)
+        # every exponential is built, and its workspace freed, before the chunk is allocated
+        steps = {k: self._step(k) for k in starts} if size > 1 else {}
+        self._chunk, cols = None, {}
+        for k, start in starts.items():
+            buf = cols[k] = np.empty((size,) + start.shape)
+            buf[0] = start
+            for i in range(1, size):
+                np.matmul(steps[k], buf[i - 1], out=buf[i])
+        self._chunk = _Chunk(j, size, cols, len(self._offsets))
+        return self._chunk
+
+    def _start(self, k: int, j: int) -> np.ndarray:
+        """V_k(j h) for a new chunk: the open chunk's row at j, one step past its last row, or C_k.
+
+        Columns registered since the open chunk was built join as
+        e^(j h Lambda*_k) times their blocks, once; at j = 0 they are the
+        blocks themselves.
+        """
+        basis, chunk = self._bases[k], self._chunk
+        start = basis[:, :0]
+        if chunk is not None and k in chunk.cols:
+            if 0 <= j - chunk.j0 < chunk.size:
+                start = chunk.cols[k][j - chunk.j0].copy()
+            elif j - chunk.j0 == chunk.size:
+                start = self._step(k) @ chunk.cols[k][-1]
+        if start.shape[1] < basis.shape[1]:
+            new = basis[:, start.shape[1]:]
+            if j:
+                new = self.ws.semigroup(k, full_selector(k), j * self._run[0], "dual") @ new
+            start = np.hstack([start, new])
+        return start
+
+    def _step(self, k: int) -> np.ndarray:
+        """e^(h Lambda*_k) at the open run's h: the workspace's canonical semigroup, kept."""
+        if k not in self._steps:
+            self._steps[k] = self.ws.semigroup(k, full_selector(k), self._run[0], "dual")
+        return self._steps[k]
+
+    def _chunk_term(self, chunk: _Chunk, s: int, n: int, top: int) -> np.ndarray:
+        """`_correlated_term` at every time of the chunk, one batched product per sector."""
+        plan = self._plan(s, n, top)
+        return chunk.value((s, n, top), lambda: self._read_off(plan, chunk.cols.__getitem__, s))
+
+    def _read_off(self, plan: list, columns, s: int) -> np.ndarray:
+        """The term of a plan read off columns(k), the V_k at one time or a chunk's."""
+        n_states = self.model.n_states
+        total = 0.0
+        for k, first, readout in plan:
+            total = total + readout @ columns(k)[..., first:first + n_states]
+        return total.reshape(total.shape[:-2] + (n_states,) * (s + 2))
 
     def _correlated_term(self, t: float, s: int, n: int, top: int | None = None) -> np.ndarray:
         """Order-n term of the correlated (1+s)-sector series, as a map of tracer data.
@@ -289,13 +387,16 @@ class KineticEngine:
         V_(s+m)(t) and integrates its top m slots.  With `top`, the sum of
         the orders n..top; a term is linear in C_k, so its blocks are summed
         before they evolve (`_plan`).  Returns shape (n_states,)*(s+1) +
-        (n_states,): the last axis takes the tracer data (`@ f0`).
+        (n_states,): the last axis takes the tracer data (`@ f0`).  At a
+        lattice time of the open run it is a row of the open chunk.
         """
-        n_states = self.model.n_states
-        total = 0.0
-        for k, first, readout in self._plan(s, n, n if top is None else top):
-            total = total + readout @ self._columns(t, k)[:, first:first + n_states]
-        return total.reshape((n_states,) * (s + 1) + (n_states,))
+        top = n if top is None else top
+        plan = self._plan(s, n, top)  # a new request registers before the chunk is read
+        at = self._lattice_row(t)
+        if at is not None:
+            chunk, row = at
+            return self._chunk_term(chunk, s, n, top)[row]
+        return self._read_off(plan, lambda k: self._columns(t, k), s)
 
     def series_term_matrix(self, t: float, n: int) -> np.ndarray:
         """Matrix on tracer space for the order-n term of the distribution series."""
@@ -361,7 +462,7 @@ class KineticEngine:
         self._check_cap(s + order, "functional")
         if route == "resolvent":
             k_rec = order if recon_order is None else recon_order
-            f0 = np.linalg.solve(self.series_matrix(t, k_rec), F)
+            f0 = _resolvent_solve(self.series_matrix(t, k_rec), F, [t])
             return self._correlated_term(t, s, 0, order) @ f0
         if route != "scattering":
             raise ValueError(f"unknown route {route!r}")
@@ -396,8 +497,18 @@ class KineticEngine:
         pair functional at order-1 lower truncation; with the resolvent
         route the identity d/dt F(t) = rhs(F(t)) is exact on the series
         trajectory at matched order; order is a series order, at most the model n_max.
+        At a lattice time of the open run, the resolvent route's matrix is a
+        row of the open chunk's.
         """
         self._check_order(order)
+        if route == "resolvent" and order >= 1 and self.model.eps > 0:
+            # both requests register before the chunk is built, which then evolves them
+            self._plan(0, 0, order)
+            self._plan(1, 0, order - 1)
+            at = self._lattice_row(t)
+            if at is not None:
+                chunk, row = at
+                return chunk.value(("rhs", order), lambda: self._chunk_rhs(chunk, order))[row]
 
         def build():
             model = self.model
@@ -411,6 +522,19 @@ class KineticEngine:
 
         return self.ws.latest.get(t, (self, "rhs", order, route), build)
 
+    def _chunk_rhs(self, chunk: _Chunk, order: int) -> np.ndarray:
+        """The resolvent `rhs_matrix` at every time of the chunk.
+
+        One batched solve for the initial tracer data, one batched product
+        for the pair functional and one for the collision integral.
+        """
+        n, h = self.model.n_states, self._run[0]
+        times = [(chunk.j0 + i) * h for i in range(chunk.size)]
+        f0 = _resolvent_solve(self._chunk_term(chunk, 0, 0, order), np.eye(n), times)
+        f2 = self._chunk_term(chunk, 1, 0, order - 1) @ f0[:, np.newaxis]
+        return (self.ws.generator(0, frozenset({TRACER}), "dual")
+                + self.model.eps * self.collision_matrix(f2.reshape(chunk.size, n * n, n)))
+
     def fp_rhs(self, F1: np.ndarray, t: float, order: int, route: str = "resolvent") -> np.ndarray:
         return self.rhs_matrix(t, order, route=route) @ np.asarray(F1, dtype=float)
 
@@ -419,16 +543,19 @@ class KineticEngine:
         """Classical four-stage Runge-Kutta trajectory of the kinetic equation.
 
         The non-Markovian right-hand side depends on absolute time through
-        the cumulant operators, so stage operators are rebuilt per step; the
-        store keeps the latest stage time, which the next stage or step reuses.
-        The stage times are j * h with h = dt/2, computed from the index j,
-        and they are the engine's column lattice: past the first half step,
-        the correlated terms at a new time are one product per sector, with
-        no semigroup built.  Step i ends at (2i) * h, which is i * dt
-        exactly.  The first step takes the canonical semigroup at h of every
-        sector from the workspace, and its last stage, at 2h, evicts them
-        from the store.  A step with mass drift beyond 1e-6 raises
-        StepRejected.  dt must divide t_max to a relative 1e-9, so the
+        the cumulant operators, but not on the tracer distribution.  The
+        stage times are j * h with h = dt/2, computed from the index j, and
+        the run hands them to the engine before its first stage as the
+        lattice j = 0..2 * steps (`_open_run`).  On the resolvent route the
+        first stage that reads a time outside the open chunk evaluates the
+        next CHUNK lattice times at once: per sector one product with the
+        step e^(h Lambda*_k) per time, the canonical semigroup at h taken
+        from the workspace once per run, then the correlated terms and the
+        stage matrices.  Step i ends at (2i) * h, which is i * dt exactly,
+        and the last chunk, which holds the endpoint, stays open after the
+        run.  A step with mass drift beyond 1e-6 raises StepRejected; a
+        chunk holding a series matrix conditioned beyond COND_MAX raises
+        IllConditioned.  dt must divide t_max to a relative 1e-9, so the
         trajectory ends at steps * dt, which is t_max itself unless that
         product rounds elsewhere; both must be finite.
         """
@@ -444,6 +571,7 @@ class KineticEngine:
         if abs(steps * dt - t_max) > 1e-9 * abs(t_max):
             raise ValidationError(f"dt: {dt!r} does not divide t_max {t_max!r}")
         h = 0.5 * dt
+        self._open_run(h, 2 * steps)
         f = np.asarray(f0, dtype=float).copy()
         out = [TracerDistribution(values=f.copy(), t=0.0, mass_drift=0.0)]
         for i in range(steps):
@@ -492,6 +620,22 @@ class KineticEngine:
             for s in range(1, n_max + 1)]
         rhs = initial_reduced.pair(SequenceState(tuple(state), kind="distribution"), w)
         return DualityReport(t=t, order=order, eps=model.eps, lhs=lhs, rhs=rhs)
+
+
+def _resolvent_solve(series: np.ndarray, F: np.ndarray, times: list) -> np.ndarray:
+    """series^-1 F, for one series matrix or a stack of them, at the given times.
+
+    Raises IllConditioned, naming the first time and its condition number,
+    if cond(series) exceeds COND_MAX at any of them.
+    """
+    # 1-norm condition numbers, inf where a matrix is singular
+    cond = np.atleast_1d(np.linalg.cond(series, 1))
+    bad = np.flatnonzero(~(cond <= COND_MAX))
+    if bad.size:
+        i = bad[0]
+        raise IllConditioned(f"series matrix at t={times[i]:.6g}: condition number "
+                             f"{cond[i]:.3e} exceeds {COND_MAX:.0e}")
+    return np.linalg.solve(series, F)
 
 
 def _integrate_env(cols: np.ndarray, weights: np.ndarray, s: int) -> np.ndarray:

@@ -4,11 +4,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kinlab.operators
 from kinlab.cli import main
-from kinlab.kinetic import KineticEngine
+from kinlab.kinetic import COND_MAX, IllConditioned, KineticEngine, engine_for
+from kinlab.model import load_model, load_model_file
 
 CONFIG = """
 [model]
@@ -209,8 +211,11 @@ def _break_mass(self, F1, t, order, route="resolvent"):
     return F1  # d/dt of the mass is 1: the first step is rejected
 
 
+# at eps 5 the series matrix of order 1 is singular to working precision by
+# t = 49.5 (cond 1.8e16); the conditioning guard stops the run at t = 17
 @pytest.mark.parametrize("args, patch, error", [
-    (("--eps", "5", "--dt", "0.5", "--t-max", "50"), None, "LinAlgError: Singular matrix"),
+    (("--eps", "5", "--dt", "0.5", "--t-max", "50"), None,
+     "IllConditioned: series matrix at t=17: condition number 1.208e+08 exceeds 1e+08"),
     (("--dt", "0.1"), _break_mass, "StepRejected: kinetic step rejected at t=0.100000"),
 ])
 def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypatch, capsys,
@@ -230,6 +235,34 @@ def test_numerical_failure_exits_4_with_metadata(config_path, tmp_path, monkeypa
     capsys.readouterr()
     assert run_cli("report", out) == 0
     assert f"error: {check['error']}" in capsys.readouterr().out
+
+
+def test_resolvent_solve_refuses_an_ill_conditioned_series_matrix():
+    # cond(S(t)) at order 1 and eps 5 grows from 4.4e7 at t = 16 through the
+    # bound to 3.9e14 at t = 32: one time at a time and a chunk at a time, the
+    # solve is refused at the same time, with the same message
+    config = load_model(CONFIG, {"eps": "5"})
+    message = "series matrix at t=17: condition number 1.208e+08 exceeds 1e+08"
+    eng = engine_for(config.model, config.profile)
+    eng.rhs_matrix(16.5, 1)
+    with pytest.raises(IllConditioned, match=f"^{re.escape(message)}$"):
+        eng.rhs_matrix(17.0, 1)
+    eng = engine_for(config.model, config.profile)
+    with pytest.raises(IllConditioned, match=f"^{re.escape(message)}$"):
+        eng.integrate_fp(config.profile.tracer0, 50.0, 0.5, 1)
+
+
+@pytest.mark.parametrize("name", ["tiny.ini", "tiny_correlated.ini"])
+def test_shipped_configs_stay_far_below_the_conditioning_bound(name):
+    # the series matrices of every order up to n_max over the lattice of the
+    # config's fp-trajectory run; the margin was fixed before measuring
+    config = load_model_file(os.path.join(os.path.dirname(__file__), os.pardir, "configs", name))
+    eng = engine_for(config.model, config.profile)
+    h, last = 0.5 * config.dt, 2 * int(round(config.t_max / config.dt))
+    eng._open_run(h, last)
+    worst = max(np.linalg.cond(eng.series_matrix(j * h, order))
+                for j in range(0, last + 1, 10) for order in range(1, config.model.n_max + 1))
+    assert worst <= 1e-6 * COND_MAX
 
 
 def test_signed_initial_ensemble_exits_1_without_traceback(tmp_path, capsys):

@@ -16,7 +16,7 @@ import kinlab.operators
 from kinlab.combinatorics import (cumulant_matrix, enumerate_dissections, partition_plan,
                                   partition_products)
 from kinlab.hierarchy import additive_reduced_initial
-from kinlab.kinetic import KineticEngine, engine_for
+from kinlab.kinetic import CHUNK, KineticEngine, engine_for
 from kinlab.model import (CorrelationProfile, ValidationError, build_initial_state, load_model,
                           tiny_model)
 from kinlab.operators import TRACER, full_selector, workspace_for
@@ -557,15 +557,17 @@ def _direct_values(model, profile, t):
 def test_column_lattice_drift_over_1000_half_steps(case):
     model, profile = LATTICE_CASES[case]()
     eng = engine_for(model, profile)
+    eng._open_run(0.005, 1000)
     worst = 0.0
     for i, t in enumerate(fp_stage_times(0.01, 500)):
         got = _lattice_values(eng, t)
         if i % 20 == 19:
             for a, b in zip(got, _direct_values(model, profile, t)):
                 worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(b)))
-    # the index lattice ends at t_max itself, after 1000 products per sector
+    # the index lattice ends at t_max itself, after 1000 products per sector,
+    # in chunks that tile it from j = 0
     assert t == 5.0
-    assert {j for j, *_ in eng._lattice.values()} == {1000}
+    assert eng._chunk.j0 % CHUNK == 0 and eng._chunk.j0 + eng._chunk.size == 1001
     assert worst <= 1e-12
 
 
@@ -584,11 +586,12 @@ def _counting_semigroups(mp):
 def test_column_lattice_step_builds_no_semigroup(monkeypatch):
     model, profile = _fp_kinetic_case()
     eng = engine_for(model, profile)
+    eng._open_run(0.005, 40)
     calls = _counting_semigroups(monkeypatch)
     times = list(fp_stage_times(0.01, 20))
     for t in times[:2]:
         eng.rhs_matrix(t, 3)
-    # t = 0 is the basis itself; the step h builds E once
+    # t = 0 is the basis itself; the chunk built there takes the step at h once
     assert {args[2] for args in calls} == {times[1]}
     del calls[:]
     for t in times[2:]:
@@ -599,21 +602,28 @@ def test_column_lattice_step_builds_no_semigroup(monkeypatch):
 def test_column_lattice_interleaved_with_negative_and_off_lattice_times(monkeypatch):
     model, profile = _fp_kinetic_case()
     eng = engine_for(model, profile)
+    eng._open_run(0.005, 80)
     calls = _counting_semigroups(monkeypatch)
     grid = [t for i, t in enumerate(fp_stage_times(0.01, 40)) if i % 4 in (0, 1)]
-    off = [-grid[9], 0.1234, -0.1234, grid[3], 0.5678]
-    for t, on_lattice in ([(t, True) for t in grid[:10]] + [(t, False) for t in off[:4]]
-                          + [(t, True) for t in grid[10:20]] + [(off[4], False)]
-                          + [(t, True) for t in grid[20:]]):
+    # past the run's last time, negative, or between lattice times
+    off = [-grid[9], 0.1234, -0.1234, 0.5678]
+    chunks = []
+    for t, on_lattice in ([(t, True) for t in grid[:10]] + [(t, False) for t in off[:3]]
+                          + [(grid[3], True)] + [(t, True) for t in grid[10:20]]
+                          + [(off[3], False)] + [(t, True) for t in grid[20:]]):
         before = len(calls)
         got = _lattice_values(eng, t)
-        # past t = 0 and h, a lattice time builds no semigroup and an off one does
-        if t > grid[1]:
+        chunks.append(eng._chunk)
+        # past t = 0, where the chunk takes its steps, a lattice time builds no
+        # semigroup, also one the run has passed, and an off one does
+        if t != 0:
             assert (len(calls) == before) == on_lattice
         for a, b in zip(got, _direct_values(model, profile, t)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-    # off-lattice times left the index where the lattice times put it
-    assert {j for j, *_ in eng._lattice.values()} == {len(grid) - 1}
+    # one chunk holds the run's lattice times 0..80h, and off-lattice times
+    # left it as it was
+    assert all(chunk is chunks[0] for chunk in chunks)
+    assert (eng._chunk.j0, eng._chunk.size) == (0, 81)
 
 
 LOADED_FP_INI = """\
@@ -656,29 +666,38 @@ def _assert_request_layout(eng):
     n_cols = {0: 3, 1: 6, 2: 6, 3: 6}
     assert {k: basis.shape for k, basis in eng._bases.items()} == {
         k: (3 ** (k + 1), n_cols[k]) for k in range(4)}
-    # the lattice holds the step dim_k^2 and V_k dim_k x n_cols floats per sector
-    held = sum(step.nbytes + cols.nbytes for _, cols, _, step in eng._lattice.values())
-    assert held == 8 * sum(3 ** (2 * k + 2) + 3 ** (k + 1) * n_cols[k] for k in range(4))
-    assert held == 64728
-    # the bases as much again as the V_k; the collision block n_states x n_states^2
-    assert sum(basis.nbytes for basis in eng._bases.values()) == 5688
+    # the lattice holds the step, dim_k^2 floats, per sector, and per time of
+    # the open chunk V_k, dim_k x n_cols floats
+    steps = sum(step.nbytes for step in eng._steps.values())
+    assert steps == 8 * sum(3 ** (2 * k + 2) for k in range(4)) == 59040
+    chunk = eng._chunk
+    assert {k: cols.shape for k, cols in chunk.cols.items()} == {
+        k: (chunk.size, 3 ** (k + 1), n_cols[k]) for k in range(4)}
+    per_time = 8 * sum(3 ** (k + 1) * n_cols[k] for k in range(4))
+    assert sum(cols.nbytes for cols in chunk.cols.values()) == chunk.size * per_time
+    # the bases as much as one time of V_k; the collision block n_states x n_states^2
+    assert sum(basis.nbytes for basis in eng._bases.values()) == per_time == 5688
     assert eng._collision.shape == (3, 9)
 
 
 def test_column_lattice_memory_flat_in_the_step_count():
     model, profile = _fp_kinetic_case()
     eng = engine_for(model, profile)
-    times = list(fp_stage_times(0.01, 200))
+    eng._open_run(0.005, 1200)
+    times = list(fp_stage_times(0.01, 600))
     for t in times[:8]:
         eng.rhs_matrix(t, 3)
     tracemalloc.start()
     try:
-        for t in times[8:400]:
+        # at lattice index 300, in the second chunk, and 1000, in the fourth
+        for t in times[8:600]:
             eng.rhs_matrix(t, 3)
         early = tracemalloc.get_traced_memory()[0]
-        for t in times[400:]:
+        for t in times[600:2000]:
             eng.rhs_matrix(t, 3)
         late = tracemalloc.get_traced_memory()[0]
+        for t in times[2000:]:
+            eng.rhs_matrix(t, 3)
     finally:
         tracemalloc.stop()
     # less than one column stack of the top sector: Bell(4) x 81 x 3 floats
@@ -691,6 +710,7 @@ def test_column_lattice_bytes_do_not_depend_on_the_profile_depth():
     # the blocks its requests read, the same as at depth n_max
     model, profile = _loaded_fp_case()
     eng = engine_for(model, profile)
+    eng._open_run(0.005, 6)
     for t in fp_stage_times(0.01, 3):
         eng.rhs_matrix(t, 3)
     _assert_request_layout(eng)
@@ -746,6 +766,9 @@ def test_correlated_term_matches_the_moebius_loop(case):
         model, profile = _asymmetric_profile_case()
         times, s_top = (0.3, -0.25, 1.2), 2
     eng = engine_for(model, profile)
+    if case in LATTICE_CASES:
+        eng._open_run(h, 5)
+    chunks = []
     for t in times:
         for s in range(s_top + 1):
             # relative to the series the term belongs to: a higher-order term
@@ -756,29 +779,46 @@ def test_correlated_term_matches_the_moebius_loop(case):
                 ref = _moebius_loop_term(model, profile, t, s, n)
                 assert got.shape == ref.shape == (model.n_states,) * (s + 2)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+        chunks.append(eng._chunk)
     if case in LATTICE_CASES:
-        # the lattice times were read off the lattice, the others left it alone
-        assert {j for j, *_ in eng._lattice.values()} == {5}
+        # the lattice times were read off one chunk, the others left it alone
+        assert all(chunk is chunks[0] for chunk in chunks)
+        assert (eng._chunk.j0, eng._chunk.size) == (0, 6)
 
 
 def _moebius_series(model, profile, t, s, n, top):
     return sum(_moebius_loop_term(model, profile, t, s, order) for order in range(n, top + 1))
 
 
+def _read_request(eng, t, s, n, top):
+    """The request (s, n, top) at t, through the public reader where there is one."""
+    if s == 0 and n == top:
+        return eng.series_term_matrix(t, n)
+    if s == 0 and n == 0:
+        return eng.series_matrix(t, top)
+    return eng._correlated_term(t, s, n, top)
+
+
 @pytest.mark.parametrize("off_lattice_first", [False, True], ids=["on-lattice", "off-lattice"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
-@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES) + [
+    f"{case}-low-sectors-first" for case in sorted(LATTICE_CASES)])
 def test_requests_made_mid_lattice_join_it(case, reverse, off_lattice_first, monkeypatch):
     # each request (s, n, top) registers its summed blocks on first use; one
     # first made at lattice index 10 evolves its columns once and then rides
     # the lattice, and one first made off the lattice waits for its next
-    # lattice time.  The bound was fixed before measuring
-    model, profile = LATTICE_CASES[case]()
+    # lattice time.  In the low-sectors cases the run reads only sectors 0
+    # and 1 from t = 0, so the late requests also bring sectors that were
+    # never on the lattice.  The bound was fixed before measuring
+    model, profile = LATTICE_CASES[case.replace("-low-sectors-first", "")]()
     n_max = model.n_max
     eng = engine_for(model, profile)
+    eng._open_run(0.005, 13)
     calls = _counting_semigroups(monkeypatch)
     times = list(fp_stage_times(0.01, 7))[::2]  # the half-step lattice 0, h, ..., 13h
-    # the top term registers a block in every sector at t = 0
+    # the top term registers a block in every sector at t = 0, the order-1
+    # series in sectors 0 and 1 only
+    early = (0, 0, 1) if case.endswith("-low-sectors-first") else (0, n_max, n_max)
     late = [(0, n, n) for n in range(n_max)] + [(1, 0, 0), (1, 0, 2)]
     if reverse:
         late.reverse()
@@ -786,8 +826,7 @@ def test_requests_made_mid_lattice_join_it(case, reverse, off_lattice_first, mon
     def check(t, requests):
         """Whether the engine asked for a semigroup; the terms against the loop."""
         before = len(calls)
-        got = [eng.series_term_matrix(t, n) if s == 0 else eng._correlated_term(t, s, n, top)
-               for s, n, top in requests]
+        got = [_read_request(eng, t, *request) for request in requests]
         built = len(calls) > before
         for (s, n, top), term in zip(requests, got):
             scale = np.max(np.abs(_moebius_loop_term(model, profile, t, s, 0)))
@@ -798,11 +837,14 @@ def test_requests_made_mid_lattice_join_it(case, reverse, off_lattice_first, mon
     for j, t in enumerate(times):
         if j == 10 and off_lattice_first:
             assert check(-0.0437, late)
-        # the step at h builds one semigroup per sector, the late requests one at 10h
-        assert check(t, [(0, n_max, n_max)] + (late if j >= 10 else [])) == (j in (1, 10))
-    assert {j for j, *_ in eng._lattice.values()} == {len(times) - 1}
+        # the chunk built at t = 0 takes the step at h of each sector, and the
+        # late requests one semigroup per sector at 10h, and the steps of the
+        # sectors new to the lattice
+        assert check(t, [early] + (late if j >= 10 else [])) == (j in (0, 10))
+    assert eng._chunk.j0 + eng._chunk.size == len(times)
     # and every block registered late rides the lattice
-    assert all(cols.shape == eng._bases[k].shape for k, (_, cols, _, _) in eng._lattice.items())
+    assert eng._chunk.cols.keys() == eng._bases.keys()
+    assert all(cols.shape[1:] == eng._bases[k].shape for k, cols in eng._chunk.cols.items())
 
 
 @pytest.mark.parametrize("n_points", [2, 3])
@@ -855,10 +897,59 @@ def test_fp_endpoint_is_read_off_the_lattice(monkeypatch):
     traj = eng.integrate_fp(profile.tracer0, 0.5, 0.01, 3)
     eng.reduced_distribution(0.5, 3)
     assert len(at_rhs) == 4 * 50
-    # one expm call per sector, all in the first step; the endpoint builds nothing
-    assert expm_calls == [3, 9, 27, 81] and at_rhs[4] == 4
+    # one expm call per sector, all at the first stage, where the one chunk of
+    # the run takes its steps; the endpoint builds nothing
+    assert expm_calls == [3, 9, 27, 81] and at_rhs[:2] == [0, 4]
     assert [td.t for td in traj] == [i * 0.01 for i in range(51)]
     assert traj[-1].t == 0.5
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_chunked_lattice_matches_the_per_time_path(case, monkeypatch):
+    # 500 steps visit the lattice times 0..1000h, four chunks; the stage
+    # matrices the run used, every tenth time and those at the chunk seams,
+    # against a fresh engine's, built off the lattice.  The bound was fixed
+    # before measuring
+    model, profile = LATTICE_CASES[case]()
+    eng = engine_for(model, profile)
+    rhs_matrix = KineticEngine.rhs_matrix
+    used = {}
+
+    def recorded(self, t, *args, **kwargs):
+        out = rhs_matrix(self, t, *args, **kwargs)
+        if self is eng:
+            used[t] = out.copy()
+        return out
+
+    monkeypatch.setattr(KineticEngine, "rhs_matrix", recorded)
+    traj = eng.integrate_fp(profile.tracer0, 5.0, 0.01, model.n_max)
+    assert len(traj) == 501 and 1000 // CHUNK >= 2
+    seams = {j + d for j in range(CHUNK, 1001, CHUNK) for d in (-2, -1, 0, 1)}
+    worst = 0.0
+    for j in sorted(set(range(0, 1001, 10)) | seams):
+        ref = engine_for(model, profile).rhs_matrix(j * 0.005, model.n_max)
+        worst = max(worst, np.max(np.abs(used[j * 0.005] - ref)) / np.max(np.abs(ref)))
+    assert worst <= 1e-13
+
+
+def test_lattice_bytes_stay_within_one_chunk_whatever_the_step_count(monkeypatch):
+    model, profile = _fp_kinetic_case()
+    fp_rhs = KineticEngine.fp_rhs
+    held = {}
+
+    def stamped(self, *args, **kwargs):
+        out = fp_rhs(self, *args, **kwargs)
+        chunk = self._chunk
+        held[steps] = max(held.get(steps, 0), sum(
+            a.nbytes for a in (*chunk.cols.values(), *chunk.values.values(), *self._steps.values())))
+        return out
+
+    monkeypatch.setattr(KineticEngine, "fp_rhs", stamped)
+    for steps in (200, 2000):
+        engine_for(model, profile).integrate_fp(profile.tracer0, steps * 0.01, 0.01, 3)
+    # the steps, and a full chunk: per time 5,688 bytes of columns and 360 of
+    # the two requests' terms and the right-hand side
+    assert held[200] == held[2000] == 59040 + CHUNK * (5688 + 360)
 
 
 def test_duality_lhs_built_once_per_observable_and_time(monkeypatch):
@@ -954,7 +1045,7 @@ def test_integrate_fp_releases_first_step_semigroups(coupled_engine):
     assert ref() is None
 
 
-def test_integrate_fp_drops_the_semigroups_of_h_after_the_first_step(monkeypatch):
+def test_integrate_fp_keeps_the_semigroups_of_h_only_as_its_steps(monkeypatch):
     model, profile = _fp_kinetic_case()
     eng = engine_for(model, profile)
     build = kinlab.operators.Workspace._semigroup
@@ -973,11 +1064,12 @@ def test_integrate_fp_drops_the_semigroups_of_h_after_the_first_step(monkeypatch
     monkeypatch.setattr(kinlab.operators.Workspace, "_semigroup", kept)
     monkeypatch.setattr(KineticEngine, "fp_rhs", stamped)
     eng.integrate_fp(profile.tracer0, 0.5, 0.01, 3)
-    # the canonical tracer semigroup of each sector is built at t = h, and
-    # none outlives the first step
+    # the canonical tracer semigroup of each sector at t = h is built at the
+    # first stage, nothing is built after it, and the run's steps are those
+    # very matrices: no second copy is held
     assert len(built) == 4
-    assert alive[:5] == [0, 0, 4, 4, 0]
-    assert not any(alive[4:])
+    assert alive == [0] + [4] * (4 * 50 - 1)
+    assert sorted(id(ref()) for ref in built) == sorted(id(step) for step in eng._steps.values())
 
 
 def test_short_profile_is_one_validation_error():
